@@ -35,9 +35,11 @@ from .graph import (
     parse_graph6,
 )
 from .matching import edge_cover_number, matching_number
-from .spectral import classify_fiedler, eigen_symmetric, fiedler_vector, laplacian
+from .spectral import algebraic_connectivity, classify_fiedler, fiedler_vector
 from .verification import (
     TARGETS,
+    _sig12,
+    _sig12_str,
     bound_cover,
     bound_matching,
     kirkland_bound,
@@ -47,15 +49,6 @@ from .verification import (
 
 class _CliError(Exception):
     """Usage-level problem; reported to stderr with exit code 2."""
-
-
-def _fmt(x: float) -> float:
-    """Round to 12 significant digits for stable printed output."""
-    return float(f"{float(x):.12g}")
-
-
-def _fmt_str(x: float) -> str:
-    return f"{float(x):.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +124,7 @@ def _graph_to_dot(g: Graph) -> str:
         else None
     )
     lines = ["graph G {"]
-    lines.append(f'  label="alpha = {_fmt_str(data.alpha)}";')
+    lines.append(f'  label="alpha = {_sig12_str(data.alpha)}";')
     lines.append("  node [shape=circle];")
     for v in range(g.n):
         attrs = [f'label="{v}\\n{data.vector[v]:+.4f}"']
@@ -163,20 +156,20 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
         raise _CliError("alpha supports --output json or csv")
     for g in graphs:
         data = fiedler_vector(g)
-        vector = [_fmt(x) for x in data.vector]
+        vector = [_sig12(x) for x in data.vector]
         if args.output == "json":
             print(
                 json.dumps(
                     {
-                        "alpha": _fmt(data.alpha),
+                        "alpha": _sig12(data.alpha),
                         "multiplicity": data.multiplicity,
                         "vector": vector,
                     }
                 )
             )
         else:
-            joined = ";".join(_fmt_str(x) for x in data.vector)
-            print(f"{_fmt_str(data.alpha)},{data.multiplicity},{joined}")
+            joined = ";".join(_sig12_str(x) for x in data.vector)
+            print(f"{_sig12_str(data.alpha)},{data.multiplicity},{joined}")
     return 0
 
 
@@ -184,11 +177,7 @@ def _summarize(g: Graph) -> InvariantSummary:
     connected = is_connected(g)
     alpha: float | None = None
     if g.n >= 2:
-        if connected:
-            spectrum = eigen_symmetric(laplacian(g))
-            alpha = float(spectrum.values[1])
-        else:
-            alpha = 0.0
+        alpha = algebraic_connectivity(g) if connected else 0.0
     gamma = None
     if g.n >= 1 and all(g.adjacency[v] for v in range(g.n)):
         gamma = edge_cover_number(g)
@@ -215,14 +204,14 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         if args.output == "json":
             payload = s.as_dict()
             if "alpha" in payload:
-                payload["alpha"] = _fmt(payload["alpha"])
+                payload["alpha"] = _sig12(payload["alpha"])
             print(json.dumps(payload))
         else:
             cells = [
                 str(s.n),
                 str(s.m),
                 str(s.connected),
-                "" if s.alpha is None else _fmt_str(s.alpha),
+                "" if s.alpha is None else _sig12_str(s.alpha),
                 str(s.beta),
                 "" if s.gamma is None else str(s.gamma),
                 "" if s.diameter is None else str(s.diameter),
@@ -295,27 +284,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 _VERIFY_PARAM_FLAGS = ("n", "seed", "count", "d", "n_min", "n_max")
 
 
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        env = os.environ.get("SPECTRAL_JOBS")
-        if env is None:
-            jobs = os.cpu_count() or 1
-        else:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise _CliError(
-                    f"SPECTRAL_JOBS must be an integer, got {env!r}"
-                ) from None
-    if jobs < 1:
-        raise _CliError("--jobs must be at least 1")
-    return jobs
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _resolve_jobs(args)  # validated; execution is sequential either way
     params = {
         name: getattr(args, name)
         for name in _VERIFY_PARAM_FLAGS
@@ -338,8 +307,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "n": n,
         "beta": beta,
         "gamma": gamma,
-        "bound_matching": _fmt(bound_matching(n, beta)),
-        "bound_cover": _fmt(bound_cover(n, gamma)),
+        "bound_matching": _sig12(bound_matching(n, beta)),
+        "bound_cover": _sig12(bound_cover(n, gamma)),
     }
     dm1 = 2 * beta - 1
     spare = n - dm1
@@ -349,7 +318,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "k": k,
             "l": l,
             "dm1": dm1,
-            "value": _fmt(kirkland_bound(k, l, dm1)),
+            "value": _sig12(kirkland_bound(k, l, dm1)),
         }
     else:
         payload["kirkland"] = None
@@ -358,10 +327,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     elif args.output == "csv":
         print("n,beta,gamma,bound_matching,bound_cover,kirkland")
         kirk = payload["kirkland"]
-        cell = "" if kirk is None else _fmt_str(kirk["value"])
+        cell = "" if kirk is None else _sig12_str(kirk["value"])
         print(
-            f"{n},{beta},{gamma},{_fmt_str(payload['bound_matching'])},"
-            f"{_fmt_str(payload['bound_cover'])},{cell}"
+            f"{n},{beta},{gamma},{_sig12_str(payload['bound_matching'])},"
+            f"{_sig12_str(payload['bound_cover'])},{cell}"
         )
     else:
         raise _CliError("bounds supports --output json or csv")
@@ -432,13 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--d", type=int, default=None)
     p_ver.add_argument("--n-min", type=int, default=None, dest="n_min")
     p_ver.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p_ver.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker count to allow (validated; execution is sequential and "
-        "deterministic regardless; SPECTRAL_JOBS is the env fallback)",
-    )
     p_ver.add_argument("--output", choices=("json", "csv"), default="json")
     p_ver.set_defaults(handler=_cmd_verify)
 

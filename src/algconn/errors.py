@@ -34,11 +34,11 @@ class TooSmall(GraphError):
 
 
 class NotSymmetric(GraphError):
-    """The eigensolver was handed a matrix that is not symmetric."""
+    """The eigensolver was handed something that is not a finite symmetric matrix."""
 
 
 class NoConvergence(GraphError):
-    """The eigensolver failed to converge within its sweep budget."""
+    """The eigensolver reported that it failed to converge."""
 
 
 class ZeroVector(GraphError):

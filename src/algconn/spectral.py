@@ -1,15 +1,12 @@
 """Laplacian spectra, Fiedler vectors, and the two-case tree classification.
 
-The eigensolver is a cyclic Jacobi iteration: full sweeps of plane rotations
-until the off-diagonal Frobenius mass drops below ``1e-12`` times the input's
-Frobenius norm.  For the matrix orders this package works at (hundreds at
-most) Jacobi is plenty fast, needs no external solver, and delivers
-orthonormal eigenvectors by construction.
+Eigendecompositions come from LAPACK's symmetric solver through
+``numpy.linalg.eigh``; this module adds the input checks, the Fiedler sign
+and zero conventions, and the tree classification on top.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +26,12 @@ from .graph import Graph, is_connected, is_tree
 #: Entrywise asymmetry beyond this is rejected.
 SYMMETRY_TOL = 1e-12
 
-#: Convergence: off-diagonal Frobenius norm relative to the input norm.
-CONVERGENCE_REL = 1e-12
-
-MAX_SWEEPS = 100
-
 #: Eigenvalues within this of the algebraic connectivity count toward its
 #: multiplicity (and span the eigenspace scanned by the verifier).
 EIGENVALUE_MATCH_TOL = 1e-8
 
-#: Entries within ``tol * max|entry|`` of zero are treated as exact zeros when
-#: classifying a Fiedler vector.
+#: Entries within ``tol * max|entry|`` of zero are treated as exact zeros in a
+#: Fiedler vector, both when it is normalized and when it is classified.
 ZERO_ENTRY_REL_TOL = 1e-7
 
 
@@ -58,8 +50,12 @@ class Spectrum:
 @dataclass(frozen=True, eq=False)
 class FiedlerData:
     """Algebraic connectivity with one unit eigenvector and the eigenvalue's
-    multiplicity.  The vector's largest-magnitude entry (first such index on
-    ties) is normalized to be positive."""
+    multiplicity.
+
+    Entries within ``ZERO_ENTRY_REL_TOL * max|entry|`` of zero are stored as
+    exactly ``0.0``.  The sign makes positive the first entry whose magnitude
+    is within that relative tolerance of the maximum, so a vector and its
+    negation, or two solvers' roundings of it, normalize alike."""
 
     alpha: float
     vector: np.ndarray
@@ -93,70 +89,27 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
-def eigen_symmetric(matrix, *, max_sweeps: int = MAX_SWEEPS) -> Spectrum:
-    """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
+def eigen_symmetric(matrix) -> Spectrum:
+    """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
     Raises:
-        NotSymmetric: when the input is not square or deviates from symmetry
-            by more than :data:`SYMMETRY_TOL` in any entry.
-        NoConvergence: when the sweep budget is exhausted.
+        NotSymmetric: when the input is not square, has a non-finite entry,
+            or deviates from symmetry by more than :data:`SYMMETRY_TOL` in
+            any entry.
+        NoConvergence: when LAPACK reports that the solver failed.
     """
     A = np.array(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    if n > 0 and float(np.max(np.abs(A - A.T))) > SYMMETRY_TOL:
+    if not np.all(np.isfinite(A)):
+        raise NotSymmetric("matrix has a non-finite entry")
+    if A.size and float(np.max(np.abs(A - A.T))) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    if n == 0:
-        return Spectrum(np.zeros(0), np.zeros((0, 0)))
-
-    V = np.eye(n)
-    norm = float(np.linalg.norm(A))
-    threshold2 = (CONVERGENCE_REL * norm) ** 2
-    skip_tol = CONVERGENCE_REL * norm / max(n, 1)
-    off_mask = ~np.eye(n, dtype=bool)
-
-    for sweep in range(max_sweeps + 1):
-        # summed directly over the off-diagonal entries: subtracting the
-        # diagonal part from the total would cancel catastrophically near
-        # convergence, where off2 is ~1e-24 of the total
-        off2 = float(np.sum(np.square(A[off_mask])))
-        if off2 <= threshold2:
-            break
-        if sweep == max_sweeps:
-            raise NoConvergence(
-                f"Jacobi sweeps exhausted after {max_sweeps} iterations"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                root = math.sqrt(1.0 + tau * tau)
-                t = 1.0 / (tau + root) if tau >= 0.0 else 1.0 / (tau - root)
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = c * A[p] - s * A[q]
-                row_q = s * A[p] + c * A[q]
-                A[p] = row_p
-                A[q] = row_q
-                A[:, p] = row_p
-                A[:, q] = row_q
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vec_p = c * V[:, p] - s * V[:, q]
-                vec_q = s * V[:, p] + c * V[:, q]
-                V[:, p] = vec_p
-                V[:, q] = vec_q
-
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    return Spectrum(values[order], V[:, order])
+    try:
+        values, vectors = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from None
+    return Spectrum(values, vectors)
 
 
 def algebraic_connectivity(g: Graph) -> float:
@@ -171,11 +124,19 @@ def algebraic_connectivity(g: Graph) -> float:
     return float(spectrum.values[1])
 
 
+def _snap_zeros(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x`` with entries within ``ZERO_ENTRY_REL_TOL * max|x|`` of zero set
+    to exactly ``0.0``, and that maximum."""
+    scale = float(np.max(np.abs(x)))
+    return np.where(np.abs(x) <= ZERO_ENTRY_REL_TOL * scale, 0.0, x), scale
+
+
 def _sign_normalized(x: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(x)))
-    if x[idx] < 0:
-        return -x
-    return x.copy()
+    vals, scale = _snap_zeros(x)
+    lead = int(np.argmax(np.abs(vals) >= (1.0 - ZERO_ENTRY_REL_TOL) * scale))
+    if vals[lead] < 0:
+        vals = -vals
+    return vals + 0.0  # turns -0.0 into 0.0
 
 
 def fiedler_vector(g: Graph) -> FiedlerData:
@@ -299,11 +260,9 @@ def classify_fiedler(t: Graph, data: FiedlerData) -> FiedlerClass:
         raise DimensionMismatch(
             f"vector of shape {x.shape} against tree of order {t.n}"
         )
-    scale = float(np.max(np.abs(x)))
+    vals, scale = _snap_zeros(x)
     if scale == 0.0:
         raise ClassificationInconsistent("the zero vector cannot be classified")
-    ztol = ZERO_ENTRY_REL_TOL * scale
-    vals = np.where(np.abs(x) <= ztol, 0.0, x)
     zero_set = frozenset(int(v) for v in np.flatnonzero(vals == 0.0))
 
     if zero_set:

@@ -16,6 +16,7 @@ gap tolerance at these graph orders, so margins are trustworthy.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -139,9 +140,14 @@ def path_alpha(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _sig12_str(x: float) -> str:
+    """Format with 12 significant digits (report/CLI float convention)."""
+    return f"{float(x):.12g}"
+
+
 def _sig12(x: float) -> float:
     """Round to 12 significant digits (report/CLI float convention)."""
-    return float(f"{float(x):.12g}")
+    return float(_sig12_str(x))
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,7 @@ class VerificationReport:
                 self.passed,
                 self.checked,
                 self.skipped,
-                "" if self.min_gap is None else f"{self.min_gap:.12g}",
+                "" if self.min_gap is None else _sig12_str(self.min_gap),
                 ";".join(w.graph6 for w in self.witnesses),
             ]
         )
@@ -869,6 +875,7 @@ def verify(target: str, **params) -> VerificationReport:
         known = ", ".join(TARGETS)
         raise UnknownTarget(f"unknown verification target {target!r} (known: {known})")
     try:
-        return runner(**params)
+        inspect.signature(runner).bind(**params)
     except TypeError as exc:
         raise Infeasible(f"bad parameters for target {target!r}: {exc}") from None
+    return runner(**params)

@@ -265,22 +265,6 @@ def test_verify_runs_are_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_jobs_flag_validation(capsys):
-    code, _, err = run(capsys, "verify", "lem25", "--jobs", "0")
-    assert code == 2
-    assert "--jobs" in err
-
-
-def test_jobs_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_JOBS", "many")
-    code, _, err = run(capsys, "verify", "lem25")
-    assert code == 2
-    assert "SPECTRAL_JOBS" in err
-    monkeypatch.setenv("SPECTRAL_JOBS", "2")
-    code, out, _ = run(capsys, "verify", "lem25")
-    assert code == 0
-
-
 def test_bounds_values(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "5", "--beta", "2")
     assert code == 0

@@ -12,6 +12,7 @@ from algconn import (
     NotATree,
     NotConnected,
     NotSymmetric,
+    Spectrum,
     TooSmall,
     ZeroVector,
     algebraic_connectivity,
@@ -22,6 +23,7 @@ from algconn import (
     fiedler_vector,
     from_edge_list,
     laplacian,
+    parse_graph6,
     path_graph,
     rayleigh_quotient,
     star_graph,
@@ -70,6 +72,14 @@ def test_eigen_symmetric_rejects_asymmetry():
         eigen_symmetric(np.zeros((2, 3)))
 
 
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
+def test_eigen_symmetric_rejects_non_finite():
+    with pytest.raises(NotSymmetric):
+        eigen_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotSymmetric):
+        eigen_symmetric(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 def test_eigen_symmetric_integer_input():
     spec = eigen_symmetric([[2, 1], [1, 2]])
     assert np.allclose(spec.values, [1.0, 3.0], atol=1e-12)
@@ -106,8 +116,32 @@ def test_fiedler_vector_properties():
         assert abs(float(x.sum())) <= 1e-9
         residual = laplacian(g) @ x - data.alpha * x
         assert np.max(np.abs(residual)) <= 1e-9
-        assert x[int(np.argmax(np.abs(x)))] > 0  # deterministic sign
+        # documented sign rule: the first entry of maximal magnitude is positive
+        lead = int(np.argmax(np.abs(x) >= (1.0 - 1e-7) * np.max(np.abs(x))))
+        assert x[lead] > 0
         assert data.multiplicity >= 1
+
+
+@pytest.mark.parametrize(
+    "g",
+    [parse_graph6("F??}O"), path_graph(6), cycle_graph(5)],
+    ids=["F??}O", "P6", "C5"],
+)
+def test_fiedler_sign_ignores_rounding_noise(g, monkeypatch):
+    """The normalized vector is byte-equal whether the solver returns x, -x,
+    or x with its zero entries perturbed by 1e-15."""
+    spec = eigen_symmetric(laplacian(g))
+    expected = fiedler_vector(g).vector
+    x = spec.vectors[:, 1]
+    noisy = x + np.where(np.abs(x) <= 1e-7, 1e-15 * (-1.0) ** np.arange(g.n), 0.0)
+    for column in (x, -x, noisy, -noisy):
+        vectors = spec.vectors.copy()
+        vectors[:, 1] = column
+        monkeypatch.setattr(
+            "algconn.spectral.eigen_symmetric",
+            lambda _m, v=vectors: Spectrum(spec.values, v),
+        )
+        assert fiedler_vector(g).vector.tobytes() == expected.tobytes()
 
 
 def test_fiedler_vector_multiplicity():

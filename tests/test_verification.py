@@ -162,6 +162,18 @@ def test_verify_rejects_unknown_targets_and_parameters():
     }
 
 
+def test_verify_propagates_internal_type_errors(monkeypatch):
+    """Only a parameter-binding failure is reported as Infeasible; a
+    TypeError raised inside a runner is a bug and must surface as one."""
+
+    def broken(n):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr("algconn.verification.all_trees", broken)
+    with pytest.raises(TypeError, match="internal bug"):
+        verify("thm31", n=5)
+
+
 def test_thm31_small():
     report = verify("thm31", n=5)
     data = report.to_json_dict()
