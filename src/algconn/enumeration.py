@@ -1,12 +1,12 @@
 """Isomorph-free enumeration of small trees and connected graphs.
 
-Trees come from sequence-decoding every labeled tree on ``n`` vertices
-(``n^(n-2)`` of them); connected graphs come from every edge subset of the
-complete graph, filtered by connectivity.  Both dedup to one representative
-per isomorphism class by deleting whole relabeling orbits from the sorted
-array of labeled codes — each class costs one pass over the ``n!`` vertex
-permutations, so the work is bounded by the tiny unlabeled counts rather
-than by per-labeled-graph canonicalization.
+Trees of order ``n`` grow from those of order ``n - 1`` by attaching a leaf
+at every vertex, deduplicated by the centred tree code; each class is then
+relabeled to its minimal packed code by a column-by-column search.
+Connected graphs come from every edge subset of the complete graph,
+filtered by connectivity, and dedup to one representative per isomorphism
+class by deleting whole relabeling orbits from the sorted array of labeled
+codes, so each class is its orbit's minimal code.
 
 Streams yield graphs in a deterministic order (sorted by canonical code) and
 are cached per ``(kind, n)``, so repeated scans are cheap.
@@ -23,11 +23,18 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EmptyClassWarning, TooLarge, TooSmall
-from .graph import Graph, _bit_position_table, _unpack_code, canonical_form
+from .graph import (
+    Graph,
+    _bit_position_table,
+    _tree_code,
+    _unpack_code,
+    is_tree,
+    relabel,
+)
 from .matching import matching_number
 
-#: Labeled-tree decoding covers 9^7 sequences in a few seconds; above this the
-#: labeled class is out of reach.
+#: Growing the free trees is cheap well past 9, but each class is labeled by
+#: its minimal code, and that search keeps (n - 1)! prefixes for the star.
 TREE_CEILING = 9
 
 #: Edge subsets of the complete graph: 2^21 masks at order 7.
@@ -35,8 +42,6 @@ CONNECTED_CEILING = 7
 
 KIND_TREES = "trees"
 KIND_CONNECTED = "connected"
-
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -129,95 +134,49 @@ def with_cover(stream: GraphStream, gamma: int) -> GraphStream:
 
 
 # ---------------------------------------------------------------------------
-# labeled trees: vectorized sequence decode + orbit dedup
+# trees: leaf-attachment growth + minimal-code labeling
 # ---------------------------------------------------------------------------
 
 
-def _labeled_tree_codes(n: int) -> np.ndarray:
-    """Sorted packed edge-set codes of every labeled tree on ``n >= 3`` vertices."""
-    table = _bit_position_table(n)
-    total = n ** (n - 2)
-    out = np.empty(total, dtype=np.uint64)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        m = stop - start
-        rows = np.arange(m)
-        seq = np.empty((m, n - 2), dtype=np.int64)
-        for i in range(n - 2):
-            seq[:, i] = (idx // (n ** (n - 3 - i))) % n
-        deg = np.ones((m, n), dtype=np.int8)
-        for i in range(n - 2):
-            deg[rows, seq[:, i]] += 1
-        eu = np.empty((m, n - 1), dtype=np.int64)
-        ev = np.empty((m, n - 1), dtype=np.int64)
-        for i in range(n - 2):
-            leaf = np.argmax(deg == 1, axis=1)
-            s = seq[:, i]
-            eu[:, i] = leaf
-            ev[:, i] = s
-            deg[rows, leaf] = 0
-            deg[rows, s] -= 1
-        a = np.argmax(deg == 1, axis=1)
-        deg[rows, a] = 0
-        b = np.argmax(deg == 1, axis=1)
-        eu[:, n - 2] = a
-        ev[:, n - 2] = b
-        lo = np.minimum(eu, ev)
-        hi = np.maximum(eu, ev)
-        pos = table[lo, hi].astype(np.uint64)
-        out[start:stop] = np.bitwise_or.reduce(
-            np.left_shift(np.uint64(1), pos), axis=1
-        )
-    out.sort()
-    return out
+def _min_code_labeling(t: Graph) -> Graph:
+    """``t`` relabeled to its minimal packed code over all vertex permutations.
 
-
-def _all_permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
-def _orbit_representatives(codes: np.ndarray, n: int) -> list[Graph]:
-    """One minimal-code representative per isomorphism class.
-
-    ``codes`` must be the sorted array of every labeled member's packed code.
-    Processing order: take the smallest still-alive code, compute its whole
-    relabeling orbit in one vectorized pass, delete the orbit, repeat.
+    Code order compares column ``j`` (vertex ``j``'s adjacency to ``0..j-1``,
+    vertex 0 most significant) before column ``j + 1``, and every column at
+    one step has the same length, so a prefix of the labeling whose columns
+    are not minimal so far can never finish minimal.  Each step extends every
+    surviving prefix by every unused vertex and keeps those whose new column
+    is the minimum; ``nxt[r, v]`` is the column vertex ``v`` would get next in
+    prefix ``r``.  The star keeps the most prefixes, ``(n - 1)!``.
     """
-    table = _bit_position_table(n)
-    perms = _all_permutations(n)
-    alive = np.ones(codes.shape[0], dtype=bool)
-    reps: list[Graph] = []
-    ptr = 0
-    total = codes.shape[0]
-    while True:
-        while ptr < total and not alive[ptr]:
-            ptr += 1
-        if ptr >= total:
-            break
-        rep = _unpack_code(n, int(codes[ptr]))
-        orbit = np.zeros(perms.shape[0], dtype=np.uint64)
-        for u, v in rep.sorted_edges():
-            lo = np.minimum(perms[:, u], perms[:, v])
-            hi = np.maximum(perms[:, u], perms[:, v])
-            orbit |= np.left_shift(np.uint64(1), table[lo, hi].astype(np.uint64))
-        members = np.unique(orbit)
-        locs = np.searchsorted(codes, members)
-        alive[locs] = False
-        reps.append(_unpack_code(n, int(members[0])))
-    return reps
+    n = t.n
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in t.edges:
+        adj[u, v] = adj[v, u] = 1
+    order = np.arange(n, dtype=np.int64)[:, None]
+    used = np.eye(n, dtype=bool)
+    nxt = adj.copy()
+    for _ in range(1, n):
+        cand = np.where(used, np.iinfo(np.int64).max, nxt)
+        rows, verts = np.nonzero(cand == cand.min())
+        order = np.column_stack((order[rows], verts))
+        used = used[rows]
+        used[np.arange(rows.shape[0]), verts] = True
+        nxt = (nxt[rows] << 1) | adj[verts]
+    # every survivor has the same code; vertex order[0][j] becomes j
+    return relabel(t, np.argsort(order[0]).tolist())
 
 
 @lru_cache(maxsize=None)
 def _tree_list(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
-    if n == 2:
-        return (Graph(2, frozenset({(0, 1)})),)
-    codes = _labeled_tree_codes(n)
-    reps = _orbit_representatives(codes, n)
-    reps.sort(key=lambda g: canonical_form(g).bits)
-    return tuple(reps)
+    classes: dict[str, Graph] = {}
+    for t in _tree_list(n - 1):
+        for v in range(n - 1):
+            grown = Graph(n, t.edges | {(v, n - 1)})
+            classes.setdefault(_tree_code(grown), grown)
+    return tuple(_min_code_labeling(classes[code]) for code in sorted(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +204,52 @@ def _connected_codes(n: int) -> np.ndarray:
     return masks[connected].astype(np.uint64)
 
 
+def _all_permutations(n: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def _orbit_minima(codes: np.ndarray, n: int) -> list[int]:
+    """The minimal packed code of each isomorphism class.
+
+    ``codes`` must be the sorted array of every labeled member's packed code.
+    Processing order: take the smallest still-alive code, compute its whole
+    relabeling orbit in one vectorized pass, delete the orbit, repeat.
+    """
+    table = _bit_position_table(n)
+    perms = _all_permutations(n)
+    alive = np.ones(codes.shape[0], dtype=bool)
+    minima: list[int] = []
+    ptr = 0
+    total = codes.shape[0]
+    while True:
+        while ptr < total and not alive[ptr]:
+            ptr += 1
+        if ptr >= total:
+            break
+        rep = _unpack_code(n, int(codes[ptr]))
+        orbit = np.zeros(perms.shape[0], dtype=np.uint64)
+        for u, v in rep.sorted_edges():
+            lo = np.minimum(perms[:, u], perms[:, v])
+            hi = np.maximum(perms[:, u], perms[:, v])
+            orbit |= np.left_shift(np.uint64(1), table[lo, hi].astype(np.uint64))
+        members = np.unique(orbit)
+        locs = np.searchsorted(codes, members)
+        alive[locs] = False
+        minima.append(int(members[0]))
+    return minima
+
+
 @lru_cache(maxsize=None)
 def _connected_list(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
-    codes = _connected_codes(n)
-    reps = _orbit_representatives(codes, n)
-    reps.sort(key=lambda g: canonical_form(g).bits)
-    return tuple(reps)
+    pair_count = n * (n - 1) // 2
+    keyed = []
+    for code in _orbit_minima(_connected_codes(n), n):
+        g = _unpack_code(n, code)
+        # canonical_form's bits: the centred code for a tree, otherwise the
+        # orbit-minimal code this representative already is
+        key = _tree_code(g) if is_tree(g) else format(code, f"0{pair_count}b")
+        keyed.append((key, g))
+    keyed.sort(key=lambda pair: pair[0])
+    return tuple(g for _, g in keyed)

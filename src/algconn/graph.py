@@ -196,8 +196,9 @@ def parse_graph6(text: str) -> Graph:
     """Decode a short-form graph6 string (leading/trailing whitespace ignored).
 
     Raises:
-        ParseError: on empty input, illegal bytes, a long-form marker, or a
-            length that does not match the declared order.
+        ParseError: on empty input, illegal bytes, a long-form marker, a
+            length that does not match the declared order, or nonzero bits
+            in the padding after the last vertex pair.
     """
     s = text.strip()
     if not s:
@@ -221,6 +222,8 @@ def parse_graph6(text: str) -> Graph:
     for v in values[1:]:
         for shift in range(5, -1, -1):
             bits.append((v >> shift) & 1)
+    if any(bits[pair_count:]):
+        raise ParseError("graph6 string has nonzero padding bits")
     edges = []
     k = 0
     for j in range(1, n):

@@ -18,6 +18,7 @@ from .errors import (
     NotATree,
     NotConnected,
     NotSymmetric,
+    TooLarge,
     TooSmall,
     ZeroVector,
 )
@@ -29,6 +30,10 @@ SYMMETRY_TOL = 1e-12
 #: Eigenvalues within this of the algebraic connectivity count toward its
 #: multiplicity (and span the eigenspace scanned by the verifier).
 EIGENVALUE_MATCH_TOL = 1e-8
+
+#: The dense Laplacian, and so every graph eigendecomposition, stops at this
+#: order: L alone takes 32 MB here, and an edge-list header may declare any n.
+DENSE_CEILING = 2000
 
 #: Entries within ``tol * max|entry|`` of zero are treated as exact zeros in a
 #: Fiedler vector, both when it is normalized and when it is classified.
@@ -79,7 +84,13 @@ class FiedlerClass:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian ``L = D - A`` as a dense float array."""
+    """Combinatorial Laplacian ``L = D - A`` as a dense float array.
+
+    Raises:
+        TooLarge: above :data:`DENSE_CEILING`, before anything is allocated.
+    """
+    if g.n > DENSE_CEILING:
+        raise TooLarge(f"dense Laplacians are limited to order {DENSE_CEILING}")
     L = np.zeros((g.n, g.n), dtype=float)
     for u, v in g.edges:
         L[u, v] = -1.0
@@ -117,6 +128,7 @@ def algebraic_connectivity(g: Graph) -> float:
 
     Raises:
         TooSmall: for graphs with fewer than two vertices.
+        TooLarge: above :data:`DENSE_CEILING`.
     """
     if g.n < 2:
         raise TooSmall("algebraic connectivity needs at least two vertices")
@@ -146,6 +158,7 @@ def fiedler_vector(g: Graph) -> FiedlerData:
         TooSmall: for graphs with fewer than two vertices.
         NotConnected: when the graph is disconnected (the second eigenvalue
             would be another kernel vector, not a Fiedler vector).
+        TooLarge: above :data:`DENSE_CEILING`.
     """
     if g.n < 2:
         raise TooSmall("Fiedler vectors need at least two vertices")

@@ -1,8 +1,8 @@
 """Shared fixtures and brute-force oracles.
 
 The oracles deliberately avoid the algorithms under test: matching by
-exhaustive search over edge combinations, canonical codes by trying every
-vertex permutation on the adjacency matrix, spanning-tree counts by exact
+exhaustive search over edge combinations, canonical and minimal packed codes
+by trying every vertex permutation, spanning-tree counts by exact
 integer elimination on a Laplacian cofactor.  They are slow and only meant
 for small graphs.
 """
@@ -72,6 +72,34 @@ def brute_canonical_code(g: Graph):
         if best is None or code < best:
             best = code
     return (n, best)
+
+
+def _column_weights(n: int) -> dict:
+    """Bit weight of each pair in the package's code order: pairs column by
+    column, (0,1), (0,2), (1,2), (0,3), ..., the first pair most significant."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return {pair: 1 << (len(pairs) - 1 - k) for k, pair in enumerate(pairs)}
+
+
+def packed_code(g: Graph) -> int:
+    """The graph's edge set packed in the package's code order."""
+    weight = _column_weights(g.n)
+    return sum(weight[e] for e in g.edges)
+
+
+def brute_min_packed_code(g: Graph) -> int:
+    """Smallest :func:`packed_code` over every relabeling of ``g``."""
+    weight = _column_weights(g.n)
+    edges = g.sorted_edges()
+    best = None
+    for perm in itertools.permutations(range(g.n)):
+        code = 0
+        for u, v in edges:
+            a, b = perm[u], perm[v]
+            code |= weight[(a, b) if a < b else (b, a)]
+        if best is None or code < best:
+            best = code
+    return best if best is not None else 0
 
 
 def brute_is_isomorphic(a: Graph, b: Graph) -> bool:

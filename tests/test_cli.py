@@ -9,6 +9,7 @@ from algconn import (
     VerificationReport,
     balanced_broom,
     extremal_tree,
+    format_edge_list,
     is_isomorphic,
     parse_graph6,
     path_graph,
@@ -297,6 +298,27 @@ def test_bad_graph6_is_usage_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("###\n"))
     code, _, err = run(capsys, "alpha", "-")
     assert code == 2
+
+
+def test_graph6_padding_bits_are_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("B~\n"))
+    code, out, err = run(capsys, "alpha", "-")
+    assert code == 2
+    assert out == ""
+    assert "padding" in err
+
+
+def test_order_above_dense_ceiling_is_usage_error(capsys, tmp_path):
+    from algconn.spectral import DENSE_CEILING
+
+    n = DENSE_CEILING + 1
+    path = tmp_path / "long_path.txt"
+    path.write_text(format_edge_list(path_graph(n)))
+    for sub in ("alpha", "invariants", "classify"):
+        code, out, err = run(capsys, sub, str(path), "--format", "edgelist")
+        assert code == 2
+        assert out == ""
+        assert "dense" in err
 
 
 def test_empty_input_is_usage_error(capsys, monkeypatch):

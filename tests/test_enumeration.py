@@ -1,5 +1,6 @@
 """Isomorph-free enumeration of trees and connected graphs."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -23,7 +24,7 @@ from algconn import (
     with_matching,
 )
 from algconn.enumeration import CONNECTED_CEILING, TREE_CEILING
-from conftest import brute_canonical_code
+from conftest import brute_canonical_code, brute_min_packed_code, packed_code
 
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -90,13 +91,54 @@ def test_enumeration_is_deterministic():
 
 
 def test_representatives_are_lex_minimal():
-    """Each representative re-packs to the smallest code over its orbit,
-    so re-encoding it changes nothing."""
-    from algconn.graph import _pack_edges, _unpack_code
+    """Each representative carries the smallest packed code over every
+    relabeling of itself."""
+    reps = [t for n in range(1, 8) for t in all_trees(n)]
+    reps += [t for t in all_trees(9) if max(t.degree_sequence()) == 8]  # K_{1,8}
+    reps += [g for n in range(1, 7) for g in all_connected_graphs(n)]
+    for g in reps:
+        assert packed_code(g) == brute_min_packed_code(g), encode_graph6(g)
 
-    for g in all_connected_graphs(5):
-        code = _pack_edges(g.n, g.edges)
-        assert _unpack_code(g.n, code) == g
+
+@pytest.mark.parametrize("n", range(1, TREE_CEILING + 1))
+def test_trees_match_networkx(n):
+    nx = pytest.importorskip("networkx")
+    theirs = [
+        canonical_form(from_edge_list(n, t.edges()))
+        for t in nx.nonisomorphic_trees(n)
+    ]
+    ours = [canonical_form(t) for t in all_trees(n)]
+    assert len(ours) == len(theirs)
+    assert set(ours) == set(theirs)
+
+
+#: sha256 of the newline-joined graph6 lines that ``algconn enumerate``
+#: prints, recorded from the Prüfer-decoding enumerator this one replaced.
+ENUMERATION_SHA256 = {
+    ("trees", 1): "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    ("trees", 2): "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    ("trees", 3): "c690f114c997123e2ebadb17c59d6a04591cb27785812b615b793b97096190eb",
+    ("trees", 4): "5dc0d3070f07599baf84277c59ee1ae126ddd2112a2453589d0055de11f10d82",
+    ("trees", 5): "c5f7e39930e37d030e0aa8d12ef48ebce4c591fd1a37d3e8769024e1d83e25d5",
+    ("trees", 6): "f7feac261a97ae47a78feca3963da051b90d7aae20299d5967b5b39ee82f3165",
+    ("trees", 7): "645a0dc29a08f9edb5d0eabe60829f6e4d5679a7feafc019e43a19cd735f6022",
+    ("trees", 8): "dea16b03f7b8a7858690d06ffbb04183f513f5f7c3a5e1ee088b4f8cf65db1cd",
+    ("trees", 9): "c6cfb6413ec0b525e2d3b841542b88cd3de599bb8b5c5875062d16cb19c29e50",
+    ("connected", 1): "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    ("connected", 2): "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    ("connected", 3): "2c1256ffd0617e16898c604363be63a1bf9bd24d83d6227d4b2adb3360248bd3",
+    ("connected", 4): "eec0a9726484cd3cb56686025c5ff3a7780a37c3c3fb0d7794738cf94d2f5dc8",
+    ("connected", 5): "30b08bcc0fca444494db961a0c18f6088f7dde0300c939477ae0b9a83b875cfc",
+    ("connected", 6): "f330c66c870406f131aa5e5a02ac0eb9f361cbe0d754307f4c53643cff47cc2d",
+    ("connected", 7): "ecd411e3288953d62b3b1545515694c961ef628725f6155da2eac04955f0b089",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(ENUMERATION_SHA256))
+def test_enumeration_bytes_are_pinned(kind, n):
+    stream = all_trees(n) if kind == "trees" else all_connected_graphs(n)
+    text = "\n".join(encode_graph6(g) for g in stream)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256[(kind, n)]
 
 
 def test_trees_subset_of_connected():

@@ -132,6 +132,15 @@ def test_graph6_rejects_bad_input():
         encode_graph6(Graph(63, frozenset()))
 
 
+def test_graph6_rejects_nonzero_padding():
+    # K3 is "Bw"; "B~" sets the three padding bits after its three pairs
+    with pytest.raises(ParseError):
+        parse_graph6("B~")
+    with pytest.raises(ParseError):
+        parse_graph6("A`")  # K2 is "A_"; one padding bit set
+    assert parse_graph6("Bw") == complete_graph(3)
+
+
 def test_edge_list_round_trip(zoo):
     for g in zoo.values():
         assert parse_edge_list(format_edge_list(g)) == g

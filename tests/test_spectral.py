@@ -9,10 +9,12 @@ from algconn import (
     ClassificationInconsistent,
     DimensionMismatch,
     FiedlerData,
+    Graph,
     NotATree,
     NotConnected,
     NotSymmetric,
     Spectrum,
+    TooLarge,
     TooSmall,
     ZeroVector,
     algebraic_connectivity,
@@ -28,6 +30,8 @@ from algconn import (
     rayleigh_quotient,
     star_graph,
 )
+from algconn.graph import GRAPH6_MAX_ORDER
+from algconn.spectral import DENSE_CEILING
 
 
 def test_laplacian_structure(zoo):
@@ -40,6 +44,19 @@ def test_laplacian_structure(zoo):
             assert L[v, v] == g.degree(v)
         for u, v in g.edges:
             assert L[u, v] == -1
+
+
+def test_dense_ceiling_raises_before_allocating():
+    # n = 100000 would need an 80 GB Laplacian; the check comes first
+    with pytest.raises(TooLarge):
+        laplacian(Graph(100_000))
+    with pytest.raises(TooLarge):
+        algebraic_connectivity(Graph(100_000))
+    with pytest.raises(TooLarge):
+        laplacian(Graph(DENSE_CEILING + 1))
+    with pytest.raises(TooLarge):
+        fiedler_vector(path_graph(DENSE_CEILING + 1))
+    assert DENSE_CEILING >= GRAPH6_MAX_ORDER
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 30])
