@@ -34,7 +34,7 @@ from .graph import (
     parse_edge_list,
     parse_graph6,
 )
-from .matching import edge_cover_number, matching_number
+from .matching import matching_number
 from .spectral import algebraic_connectivity, classify_fiedler, fiedler_vector
 from .verification import (
     TARGETS,
@@ -178,16 +178,17 @@ def _summarize(g: Graph) -> InvariantSummary:
     alpha: float | None = None
     if g.n >= 2:
         alpha = algebraic_connectivity(g) if connected else 0.0
+    beta = matching_number(g)
     gamma = None
     if g.n >= 1 and all(g.adjacency[v] for v in range(g.n)):
-        gamma = edge_cover_number(g)
+        gamma = g.n - beta  # Gallai: the edge cover number
     diam = diameter(g) if connected and g.n >= 1 else None
     return InvariantSummary(
         n=g.n,
         m=g.m,
         connected=connected,
         alpha=alpha,
-        beta=matching_number(g),
+        beta=beta,
         gamma=gamma,
         diameter=diam,
     )

@@ -117,6 +117,8 @@ def is_connected(g: Graph) -> bool:
     """True when the graph has a single connected component (vacuously for n <= 1)."""
     if g.n <= 1:
         return True
+    if g.m < g.n - 1:
+        return False  # too few edges to span; skips building the adjacency
     seen = bytearray(g.n)
     seen[0] = 1
     queue = deque([0])

@@ -1,10 +1,10 @@
 """Shared fixtures and brute-force oracles.
 
 The oracles deliberately avoid the algorithms under test: matching by
-exhaustive search over edge combinations, canonical and minimal packed codes
-by trying every vertex permutation, spanning-tree counts by exact
-integer elimination on a Laplacian cofactor.  They are slow and only meant
-for small graphs.
+exhaustive search over edge combinations or by a DP table over every vertex
+subset, canonical and minimal packed codes by trying every vertex
+permutation, spanning-tree counts by exact integer elimination on a
+Laplacian cofactor.  They are slow and only meant for small graphs.
 """
 
 import itertools
@@ -35,6 +35,65 @@ def brute_matching_number(g: Graph) -> int:
             else:
                 return k
     return 0
+
+
+def full_table_matching(g: Graph) -> tuple[int, list[tuple[int, int]]]:
+    """Maximum matching by the bottom-up subset DP that fills all 2^n vertex
+    subsets, with the same lexicographically smallest witness walk as the
+    package's memoised DP."""
+    n = g.n
+    nbr_mask = [0] * n
+    for u, v in g.edges:
+        nbr_mask[u] |= 1 << v
+        nbr_mask[v] |= 1 << u
+    size = 1 << n
+    dp = bytearray(size)
+    for mask in range(1, size):
+        vbit = mask & -mask
+        v = vbit.bit_length() - 1
+        rest = mask ^ vbit
+        best = dp[rest]
+        avail = nbr_mask[v] & rest
+        while avail:
+            ubit = avail & -avail
+            cand = dp[rest ^ ubit] + 1
+            if cand > best:
+                best = cand
+            avail ^= ubit
+        dp[mask] = best
+
+    edges: list[tuple[int, int]] = []
+    mask = size - 1
+    while mask:
+        vbit = mask & -mask
+        v = vbit.bit_length() - 1
+        rest = mask ^ vbit
+        if dp[mask] == dp[rest]:
+            target = dp[mask]
+            avail = nbr_mask[v] & rest
+            matched = False
+            while avail:
+                ubit = avail & -avail
+                if dp[rest ^ ubit] + 1 == target:
+                    u = ubit.bit_length() - 1
+                    edges.append((v, u))
+                    mask = rest ^ ubit
+                    matched = True
+                    break
+                avail ^= ubit
+            if not matched:
+                mask = rest
+        else:
+            avail = nbr_mask[v] & rest
+            while avail:
+                ubit = avail & -avail
+                if dp[rest ^ ubit] + 1 == dp[mask]:
+                    u = ubit.bit_length() - 1
+                    edges.append((v, u))
+                    mask = rest ^ ubit
+                    break
+                avail ^= ubit
+    return dp[size - 1], edges
 
 
 def brute_min_edge_cover(g: Graph):

@@ -98,6 +98,24 @@ def test_invariants_isolated_vertex_drops_gamma(capsys, tmp_path):
     assert data["beta"] == 1
 
 
+def test_invariants_runs_the_matching_dp_once_per_graph(capsys, monkeypatch):
+    from algconn import matching
+
+    calls = []
+    dp = matching._bitmask_matching
+
+    def counted(g):
+        calls.append(g)
+        return dp(g)
+
+    monkeypatch.setattr(matching, "_bitmask_matching", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\nC~\nCr\n"))  # K3, K4, C4
+    code, out, _ = run(capsys, "invariants", "-")
+    assert code == 0
+    assert [json.loads(line)["gamma"] for line in out.splitlines()] == [2, 2, 2]
+    assert len(calls) == 3
+
+
 def test_construct_extremal(capsys):
     code, out, _ = run(capsys, "construct", "extremal", "--n", "6", "--beta", "2")
     assert code == 0

@@ -84,6 +84,10 @@ def test_connectivity_predicates(zoo):
     assert is_connected(zoo["p5"])
     assert not is_connected(zoo["two_edges"])
     assert not is_connected(zoo["empty3"])
+    # too few edges to span: answered without building the neighbor sets
+    huge = Graph(10**6)
+    assert not is_connected(huge)
+    assert "adjacency" not in huge.__dict__
     assert is_tree(zoo["p5"])
     assert is_tree(zoo["star5"])
     assert is_tree(zoo["k1"])

@@ -1,5 +1,7 @@
 """Matching number, edge covers, and matching-preserving spanning subgraphs."""
 
+import random
+
 import pytest
 
 from algconn import (
@@ -23,8 +25,12 @@ from algconn import (
     spanning_unicyclic_preserving_matching,
     star_graph,
 )
-from algconn.matching import MATCHING_DP_CEILING, _find_cycle_edges
-from conftest import brute_matching_number, brute_min_edge_cover
+from algconn.matching import (
+    MATCHING_DP_CEILING,
+    _bitmask_matching,
+    _find_cycle_edges,
+)
+from conftest import brute_matching_number, brute_min_edge_cover, full_table_matching
 
 
 def test_matching_number_known_values(zoo):
@@ -51,9 +57,39 @@ def test_matching_number_matches_brute_force_exhaustive():
             assert matching_number(g) == brute_matching_number(g)
 
 
+def _random_connected(n: int, m: int, rng: random.Random) -> Graph:
+    """A random spanning tree plus random extra edges, ``m`` edges in all."""
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, frozenset(edges))
+
+
+def test_dp_matches_full_table(zoo):
+    """The memoised DP gives the same size and witness as the 2^n table."""
+    graphs = list(zoo.values())
+    for n in range(1, 8):
+        graphs.extend(all_connected_graphs(n))
+    for n in range(1, 10):
+        graphs.extend(all_trees(n))
+    rng = random.Random(20141)
+    for n in range(12, 19):
+        graphs.extend(_random_connected(n, 2 * n - 1, rng) for _ in range(2))
+    for g in graphs:
+        assert _bitmask_matching(g) == full_table_matching(g), g
+
+
+def test_dp_handles_the_ceiling_worst_case():
+    """K_n has the most reachable subsets of any graph of order n."""
+    assert matching_number(complete_graph(MATCHING_DP_CEILING)) == (
+        MATCHING_DP_CEILING // 2
+    )
+
+
 def test_tree_route_agrees_with_dp():
     """Trees use a leaf-stripping shortcut; it must agree with the subset DP."""
-    from algconn.matching import _bitmask_matching, _tree_matching
+    from algconn.matching import _tree_matching
 
     for n in range(2, 10):
         for t in all_trees(n):
