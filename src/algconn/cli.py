@@ -152,8 +152,6 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
     graphs = _load_graphs(args)
     if args.output == "csv":
         print("alpha,multiplicity,vector")
-    elif args.output != "json":
-        raise _CliError("alpha supports --output json or csv")
     for g in graphs:
         data = fiedler_vector(g)
         vector = [_sig12(x) for x in data.vector]
@@ -198,8 +196,6 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     graphs = _load_graphs(args)
     if args.output == "csv":
         print("n,m,connected,alpha,beta,gamma,diameter")
-    elif args.output != "json":
-        raise _CliError("invariants supports --output json or csv")
     for g in graphs:
         s = _summarize(g)
         if args.output == "json":
@@ -232,10 +228,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(encode_graph6(g))
     elif args.output == "json":
         print(json.dumps({"graph6": encode_graph6(g), "n": g.n, "m": g.m}))
-    elif args.output == "dot":
-        sys.stdout.write(_graph_to_dot(g))
     else:
-        raise _CliError("construct supports --output graph6, json, or dot")
+        sys.stdout.write(_graph_to_dot(g))
     return 0
 
 
@@ -257,10 +251,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                     "characteristic_edge": list(cls.characteristic_edge),
                 }
             print(json.dumps(payload))
-        elif args.output == "dot":
-            sys.stdout.write(_graph_to_dot(g))
         else:
-            raise _CliError("classify supports --output json or dot")
+            sys.stdout.write(_graph_to_dot(g))
     return 0
 
 
@@ -275,10 +267,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.output == "graph6":
         for g in stream:
             print(encode_graph6(g))
-    elif args.output == "json":
-        print(json.dumps([encode_graph6(g) for g in stream]))
     else:
-        raise _CliError("enumerate supports --output graph6 or json")
+        print(json.dumps([encode_graph6(g) for g in stream]))
     return 0
 
 
@@ -294,10 +284,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify(args.target, **params)
     if args.output == "json":
         print(report.to_json())
-    elif args.output == "csv":
-        sys.stdout.write(report.to_csv())
     else:
-        raise _CliError("verify supports --output json or csv")
+        sys.stdout.write(report.to_csv())
     return 0 if report.passed else 1
 
 
@@ -325,7 +313,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         payload["kirkland"] = None
     if args.output == "json":
         print(json.dumps(payload))
-    elif args.output == "csv":
+    else:
         print("n,beta,gamma,bound_matching,bound_cover,kirkland")
         kirk = payload["kirkland"]
         cell = "" if kirk is None else _sig12_str(kirk["value"])
@@ -333,8 +321,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             f"{n},{beta},{gamma},{_sig12_str(payload['bound_matching'])},"
             f"{_sig12_str(payload['bound_cover'])},{cell}"
         )
-    else:
-        raise _CliError("bounds supports --output json or csv")
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import EmptyClassWarning, TooLarge, TooSmall
 from .graph import (
     Graph,
-    _bit_position_table,
+    _relabeled_codes,
     _tree_code,
     _unpack_code,
     is_tree,
@@ -215,7 +215,6 @@ def _orbit_minima(codes: np.ndarray, n: int) -> list[int]:
     Processing order: take the smallest still-alive code, compute its whole
     relabeling orbit in one vectorized pass, delete the orbit, repeat.
     """
-    table = _bit_position_table(n)
     perms = _all_permutations(n)
     alive = np.ones(codes.shape[0], dtype=bool)
     minima: list[int] = []
@@ -226,12 +225,7 @@ def _orbit_minima(codes: np.ndarray, n: int) -> list[int]:
             ptr += 1
         if ptr >= total:
             break
-        rep = _unpack_code(n, int(codes[ptr]))
-        orbit = np.zeros(perms.shape[0], dtype=np.uint64)
-        for u, v in rep.sorted_edges():
-            lo = np.minimum(perms[:, u], perms[:, v])
-            hi = np.maximum(perms[:, u], perms[:, v])
-            orbit |= np.left_shift(np.uint64(1), table[lo, hi].astype(np.uint64))
+        orbit = _relabeled_codes(_unpack_code(n, int(codes[ptr])), perms)
         members = np.unique(orbit)
         locs = np.searchsorted(codes, members)
         alive[locs] = False

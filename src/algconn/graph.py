@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -329,6 +329,7 @@ def _pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
+@lru_cache(maxsize=None)
 def _bit_position_table(n: int) -> np.ndarray:
     """(n, n) table of packed-integer bit positions; entry [i, j] is the bit
     weight exponent of edge {i, j} so that integer order == bitstring order."""
@@ -339,16 +340,8 @@ def _bit_position_table(n: int) -> np.ndarray:
             pos = pair_count - 1 - _pair_index(i, j)
             table[i, j] = pos
             table[j, i] = pos
+    table.flags.writeable = False  # cached: every caller shares this array
     return table
-
-
-def _pack_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    pair_count = n * (n - 1) // 2
-    code = 0
-    for u, v in edges:
-        i, j = (u, v) if u < v else (v, u)
-        code |= 1 << (pair_count - 1 - _pair_index(i, j))
-    return code
 
 
 def _unpack_code(n: int, code: int) -> Graph:
@@ -361,32 +354,29 @@ def _unpack_code(n: int, code: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _relabeled_codes(g: Graph, perms: np.ndarray) -> np.ndarray:
+    """Packed code of ``g`` relabeled by each row of ``perms`` (vertex ``v``
+    goes to ``perms[r, v]``), as a uint64 array."""
+    table = _bit_position_table(g.n)
+    codes = np.zeros(perms.shape[0], dtype=np.uint64)
+    for u, v in g.sorted_edges():
+        lo = np.minimum(perms[:, u], perms[:, v])
+        hi = np.maximum(perms[:, u], perms[:, v])
+        codes |= np.left_shift(np.uint64(1), table[lo, hi].astype(np.uint64))
+    return codes
+
+
 def _min_adjacency_code(g: Graph) -> int:
     """Minimum packed upper-triangle code over every vertex permutation."""
     n = g.n
     if n <= 1 or not g.edges:
         return 0
-    table = _bit_position_table(n)
-    edge_arr = np.array(g.sorted_edges(), dtype=np.int8)
-    eu, ev = edge_arr[:, 0], edge_arr[:, 1]
-    best: int | None = None
     perm_iter = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(perm_iter, _PERM_CHUNK))
-        if not block:
-            break
-        perms = np.array(block, dtype=np.int8)
-        lo = np.minimum(perms[:, eu], perms[:, ev])
-        hi = np.maximum(perms[:, eu], perms[:, ev])
-        pos = table[lo, hi].astype(np.uint64)
-        codes = np.bitwise_or.reduce(
-            np.left_shift(np.uint64(1), pos), axis=1
-        )
-        chunk_min = int(codes.min())
-        if best is None or chunk_min < best:
-            best = chunk_min
-    assert best is not None
-    return best
+    blocks = iter(lambda: list(itertools.islice(perm_iter, _PERM_CHUNK)), [])
+    return min(
+        int(_relabeled_codes(g, np.array(block, dtype=np.int8)).min())
+        for block in blocks
+    )
 
 
 def _tree_centers(g: Graph) -> list[int]:

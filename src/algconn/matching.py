@@ -73,32 +73,18 @@ def _bitmask_matching(g: Graph) -> tuple[int, list[tuple[int, int]]]:
         vbit = mask & -mask
         v = vbit.bit_length() - 1
         rest = mask ^ vbit
-        if dp[mask] == dp[rest]:
-            # leaving v unmatched never loses a matched lower vertex
-            target = dp[mask]
-            avail = nbr_mask[v] & rest
-            matched = False
-            while avail:
-                ubit = avail & -avail
-                if dp[rest ^ ubit] + 1 == target:
-                    u = ubit.bit_length() - 1
-                    edges.append((v, u))
-                    mask = rest ^ ubit
-                    matched = True
-                    break
-                avail ^= ubit
-            if not matched:
-                mask = rest
-        else:
-            avail = nbr_mask[v] & rest
-            while avail:
-                ubit = avail & -avail
-                if dp[rest ^ ubit] + 1 == dp[mask]:
-                    u = ubit.bit_length() - 1
-                    edges.append((v, u))
-                    mask = rest ^ ubit
-                    break
-                avail ^= ubit
+        # match v to its lowest neighbour that keeps dp[mask]; leave it
+        # unmatched only if none does (that never loses a matched lower vertex)
+        target = dp[mask]
+        mask = rest
+        avail = nbr_mask[v] & rest
+        while avail:
+            ubit = avail & -avail
+            if dp[rest ^ ubit] + 1 == target:
+                edges.append((v, ubit.bit_length() - 1))
+                mask = rest ^ ubit
+                break
+            avail ^= ubit
     return dp[full], edges
 
 

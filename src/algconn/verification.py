@@ -7,6 +7,13 @@ evaluation, or seeded sampling.  Each check returns a
 :class:`VerificationReport` that serializes to JSON (and a CSV summary row)
 with enough data to audit the margin behind any strict inequality.
 
+Every target but the relocation sampler ``lem22`` builds a stream and hands
+it to one of four scan primitives, which builds the report:
+``_unique_minimizers`` (graph classes and their expected minimizer),
+``_margins`` (pairs that must satisfy α(big) > α(small)), ``_min_slack``
+(graphs with a lower bound on α) and ``_holds_for_all`` (graphs and a
+predicate).
+
 Tolerances: a strict claim "A < B" passes iff ``B - A > GAP_TOL``; a
 uniqueness claim passes iff the runner-up exceeds the minimizer by more than
 ``GAP_TOL``.  Eigenvalue residuals are orders of magnitude below the 1e-9
@@ -16,6 +23,7 @@ gap tolerance at these graph orders, so margins are trustworthy.
 from __future__ import annotations
 
 import csv
+import itertools
 import inspect
 import io
 import json
@@ -230,18 +238,18 @@ def _beta_of(g: Graph) -> int:
     return matching_number(g)
 
 
-def _witness(g: Graph, alpha: float | None = None) -> WitnessRecord:
-    return WitnessRecord(encode_graph6(g), alpha if alpha is not None else _alpha_of(g), _beta_of(g))
+def _witness(g: Graph) -> WitnessRecord:
+    return WitnessRecord(encode_graph6(g), _alpha_of(g), _beta_of(g))
 
 
 # ---------------------------------------------------------------------------
-# unique-minimizer scans
+# scan primitives
 # ---------------------------------------------------------------------------
 
 
-def _scan_unique_minimizers(
-    classes: Iterable[tuple[list[Graph], Graph]],
-) -> tuple[bool, int, float | None, list[WitnessRecord]]:
+def _unique_minimizers(
+    target: str, params: dict, classes: Iterable[tuple[list[Graph], Graph]]
+) -> VerificationReport:
     """For each (members, expected) class, check the α-minimizer is unique
     (runner-up gap > GAP_TOL) and isomorphic to ``expected``."""
     passed = True
@@ -253,19 +261,91 @@ def _scan_unique_minimizers(
         if not members:
             passed = False
             continue
-        alphas = [_alpha_of(g) for g in members]
-        order = sorted(range(len(members)), key=lambda i: (alphas[i], i))
-        best = members[order[0]]
-        witnesses.append(_witness(best, alphas[order[0]]))
+        best, *rest = sorted(members, key=_alpha_of)  # stable: ties keep order
+        witnesses.append(_witness(best))
         if not is_isomorphic(best, expected):
             passed = False
-        if len(order) > 1:
-            gap = alphas[order[1]] - alphas[order[0]]
+        if rest:
+            gap = _alpha_of(rest[0]) - _alpha_of(best)
             min_gap = gap if min_gap is None else min(min_gap, gap)
             if gap <= GAP_TOL:
                 passed = False
-                witnesses.append(_witness(members[order[1]], alphas[order[1]]))
-    return passed, checked, min_gap, witnesses
+                witnesses.append(_witness(rest[0]))
+    return VerificationReport(target, params, passed, checked, 0, min_gap, tuple(witnesses))
+
+
+def _margins(
+    target: str,
+    params: dict,
+    pairs: Iterable[tuple[Graph, Graph]],
+    comparable: Callable[[Graph, Graph], bool] | None = None,
+) -> VerificationReport:
+    """Check α(big) − α(small) > GAP_TOL for every (big, small) pair.  A pair
+    that is not ``comparable`` fails without a margin."""
+    checked = 0
+    min_gap: float | None = None
+    witnesses: list[WitnessRecord] = []
+    for big, small in pairs:
+        checked += 1
+        if comparable is None or comparable(big, small):
+            margin = _alpha_of(big) - _alpha_of(small)
+            min_gap = margin if min_gap is None else min(min_gap, margin)
+            if margin > GAP_TOL:
+                continue
+        witnesses.extend([_witness(big), _witness(small)])
+    return VerificationReport(
+        target, params, not witnesses, checked, 0, min_gap, tuple(witnesses)
+    )
+
+
+def _min_slack(
+    target: str, params: dict, bounded: Iterable[tuple[Graph, float]]
+) -> VerificationReport:
+    """Check α(G) ≥ bound − GAP_TOL for every (G, bound).  min_gap is the
+    smallest slack; the witness attains it."""
+    slacks = [(_alpha_of(g) - bound, g) for g, bound in bounded]
+    min_slack, tight = min(slacks, key=lambda s: s[0], default=(None, None))
+    passed = min_slack is not None and min_slack >= -GAP_TOL
+    witnesses = (_witness(tight),) if tight is not None else ()
+    return VerificationReport(target, params, passed, len(slacks), 0, min_slack, witnesses)
+
+
+def _holds_for_all(
+    target: str,
+    params: dict,
+    graphs: Iterable[Graph],
+    predicate: Callable[[Graph], bool],
+    skip: Callable[[Graph], bool] | None = None,
+) -> VerificationReport:
+    """Check ``predicate`` on every graph that ``skip`` does not rule out;
+    each graph it fails on is a witness."""
+    checked = 0
+    skipped = 0
+    witnesses: list[WitnessRecord] = []
+    for g in graphs:
+        if skip is not None and skip(g):
+            skipped += 1
+            continue
+        checked += 1
+        if not predicate(g):
+            witnesses.append(_witness(g))
+    return VerificationReport(
+        target, params, not witnesses, checked, skipped, None, tuple(witnesses)
+    )
+
+
+# ---------------------------------------------------------------------------
+# unique-minimizer scans
+# ---------------------------------------------------------------------------
+
+
+def _beta_classes(n: int, graphs: Iterable[Graph]) -> list[tuple[list[Graph], Graph]]:
+    """The graphs of each feasible matching number β, with T_{2β−1}."""
+    graphs = list(graphs)
+    return [
+        ([g for g in graphs if _beta_of(g) == beta], extremal_tree(n, beta))
+        for beta in range(1, n // 2 + 1)
+    ]
 
 
 def _verify_thm31(n: int) -> VerificationReport:
@@ -273,29 +353,15 @@ def _verify_thm31(n: int) -> VerificationReport:
     is the balanced broom T_{2β−1} — for every feasible β."""
     if n < 2:
         raise TooSmall("no tree class below order 2")
-    trees = list(all_trees(n))
-    classes = [
-        ([t for t in trees if _beta_of(t) == beta], extremal_tree(n, beta))
-        for beta in range(1, n // 2 + 1)
-    ]
-    passed, checked, min_gap, witnesses = _scan_unique_minimizers(classes)
-    return VerificationReport(
-        "thm31", {"n": n}, passed, checked, 0, min_gap, tuple(witnesses)
-    )
+    return _unique_minimizers("thm31", {"n": n}, _beta_classes(n, all_trees(n)))
 
 
 def _verify_thm32(n: int) -> VerificationReport:
     """Same uniqueness claim over all connected graphs of order n."""
     if n < 2:
         raise TooSmall("no connected-graph class below order 2")
-    graphs = list(all_connected_graphs(n))
-    classes = [
-        ([g for g in graphs if _beta_of(g) == beta], extremal_tree(n, beta))
-        for beta in range(1, n // 2 + 1)
-    ]
-    passed, checked, min_gap, witnesses = _scan_unique_minimizers(classes)
-    return VerificationReport(
-        "thm32", {"n": n}, passed, checked, 0, min_gap, tuple(witnesses)
+    return _unique_minimizers(
+        "thm32", {"n": n}, _beta_classes(n, all_connected_graphs(n))
     )
 
 
@@ -305,15 +371,11 @@ def _verify_cor33(n: int) -> VerificationReport:
     if n < 2:
         raise TooSmall("no connected-graph class below order 2")
     stream = all_connected_graphs(n)
-    classes = []
-    for beta in range(1, n // 2 + 1):
-        gamma = n - beta
-        members = list(with_cover(stream, gamma))
-        classes.append((members, extremal_tree(n, n - gamma)))
-    passed, checked, min_gap, witnesses = _scan_unique_minimizers(classes)
-    return VerificationReport(
-        "cor33", {"n": n}, passed, checked, 0, min_gap, tuple(witnesses)
-    )
+    classes = [
+        (list(with_cover(stream, n - beta)), extremal_tree(n, beta))
+        for beta in range(1, n // 2 + 1)
+    ]
+    return _unique_minimizers("cor33", {"n": n}, classes)
 
 
 def _verify_lem23(n: int, d: int | None = None) -> VerificationReport:
@@ -329,10 +391,7 @@ def _verify_lem23(n: int, d: int | None = None) -> VerificationReport:
         ([t for t in trees if diameter(t) == dv + 1], balanced_broom(n, dv))
         for dv in ds
     ]
-    passed, checked, min_gap, witnesses = _scan_unique_minimizers(classes)
-    return VerificationReport(
-        "lem23", {"n": n, "d": d}, passed, checked, 0, min_gap, tuple(witnesses)
-    )
+    return _unique_minimizers("lem23", {"n": n, "d": d}, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -340,33 +399,12 @@ def _verify_lem23(n: int, d: int | None = None) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _broom_alpha(k: int, l: int, d: int) -> float:
-    return _alpha_of(double_broom(BroomParams(k=k, l=l, d=d)))
-
-
-def _grid_margins(
-    pairs: Iterable[tuple[tuple[int, int, int], tuple[int, int, int]]],
-) -> tuple[bool, int, float | None, list[WitnessRecord]]:
-    """Check α(first) > α(second) for every broom-parameter pair."""
-    passed = True
-    checked = 0
-    min_gap: float | None = None
-    witnesses: list[WitnessRecord] = []
-    for big, small in pairs:
-        checked += 1
-        a = _broom_alpha(*big)
-        b = _broom_alpha(*small)
-        margin = a - b
-        min_gap = margin if min_gap is None else min(min_gap, margin)
-        if margin <= GAP_TOL:
-            passed = False
-            witnesses.append(_witness(double_broom(BroomParams(*big)), a))
-            witnesses.append(_witness(double_broom(BroomParams(*small)), b))
-    return passed, checked, min_gap, witnesses
-
-
 _LEM24_GRID = {"k": [2, 5], "l": [0, 5], "d": [2, 7]}
 _LEM24_MIRROR_GRID = {"k": [0, 5], "l": [2, 5], "d": [2, 7]}
+
+
+def _broom(k: int, l: int, d: int) -> Graph:
+    return double_broom(BroomParams(k, l, d))
 
 
 def _verify_lem24() -> VerificationReport:
@@ -375,24 +413,17 @@ def _verify_lem24() -> VerificationReport:
     and the mirrored α(T(k,l,d)) > α(T(k,l−1,d+1)) for l ≥ 2."""
 
     def pairs():
-        for k in range(2, 6):
-            for l in range(0, 6):
-                for dd in range(2, 8):
-                    yield (k, l, dd), (k - 1, l, dd + 1)
-        for l in range(2, 6):
-            for k in range(0, 6):
-                for dd in range(2, 8):
-                    yield (k, l, dd), (k, l - 1, dd + 1)
+        for k, l, d in itertools.product(range(2, 6), range(0, 6), range(2, 8)):
+            yield _broom(k, l, d), _broom(k - 1, l, d + 1)
+        for l, k, d in itertools.product(range(2, 6), range(0, 6), range(2, 8)):
+            yield _broom(k, l, d), _broom(k, l - 1, d + 1)
 
-    passed, checked, min_gap, witnesses = _grid_margins(pairs())
     params = {
         "part1_grid": _LEM24_GRID,
         "part2_grid": _LEM24_MIRROR_GRID,
         "part2_reading": "T(k,l-1,d+1)",
     }
-    return VerificationReport(
-        "lem24", params, passed, checked, 0, min_gap, tuple(witnesses)
-    )
+    return _margins("lem24", params, pairs())
 
 
 def _verify_lem24alt() -> VerificationReport:
@@ -400,89 +431,50 @@ def _verify_lem24alt() -> VerificationReport:
     α(T(k,l,d)) > α(T(k,l+1,d+1)) for l ≥ 2, which grows the total order.
     Reported for the record; the library asserts only the order-preserving
     reading (see lem24)."""
-
-    def pairs():
-        for l in range(2, 6):
-            for k in range(0, 6):
-                for dd in range(2, 8):
-                    yield (k, l, dd), (k, l + 1, dd + 1)
-
-    passed, checked, min_gap, witnesses = _grid_margins(pairs())
-    params = {"grid": _LEM24_MIRROR_GRID, "reading": "T(k,l+1,d+1)"}
-    return VerificationReport(
-        "lem24alt", params, passed, checked, 0, min_gap, tuple(witnesses)
+    pairs = (
+        (_broom(k, l, d), _broom(k, l + 1, d + 1))
+        for l, k, d in itertools.product(range(2, 6), range(0, 6), range(2, 8))
     )
+    params = {"grid": _LEM24_MIRROR_GRID, "reading": "T(k,l+1,d+1)"}
+    return _margins("lem24alt", params, pairs)
+
+
+def _check_order_range(n_min: int, n_max: int) -> None:
+    if n_min < 2:
+        raise TooSmall("broom orders start at 2")
+    if n_max < n_min:
+        raise Infeasible("empty order range")
 
 
 def _verify_lem25(n_min: int = 6, n_max: int = 12) -> VerificationReport:
     """α(T_{2β−2}) > α(T_{2β−1}) for 2 ≤ β ≤ ⌊(n−1)/2⌋ — the two diameter
     classes a matching-β tree can minimize over, with the larger diameter
     winning.  Also sanity-checks β(T_{2β−2}) = β(T_{2β−1}) = β."""
-    if n_min < 2:
-        raise TooSmall("broom orders start at 2")
-    if n_max < n_min:
-        raise Infeasible("empty order range")
-    passed = True
-    checked = 0
-    min_gap: float | None = None
-    witnesses: list[WitnessRecord] = []
-    for n in range(n_min, n_max + 1):
-        for beta in range(2, (n - 1) // 2 + 1):
-            checked += 1
-            shorter = balanced_broom(n, 2 * beta - 2)
-            longer = balanced_broom(n, 2 * beta - 1)
-            if _beta_of(shorter) != beta or _beta_of(longer) != beta:
-                passed = False
-                witnesses.extend([_witness(shorter), _witness(longer)])
-                continue
-            margin = _alpha_of(shorter) - _alpha_of(longer)
-            min_gap = margin if min_gap is None else min(min_gap, margin)
-            if margin <= GAP_TOL:
-                passed = False
-                witnesses.extend([_witness(shorter), _witness(longer)])
-    return VerificationReport(
-        "lem25",
-        {"n_min": n_min, "n_max": n_max},
-        passed,
-        checked,
-        0,
-        min_gap,
-        tuple(witnesses),
+    _check_order_range(n_min, n_max)
+    pairs = (
+        (balanced_broom(n, 2 * beta - 2), balanced_broom(n, 2 * beta - 1))
+        for n in range(n_min, n_max + 1)
+        for beta in range(2, (n - 1) // 2 + 1)
     )
+
+    def same_beta(shorter: Graph, longer: Graph) -> bool:
+        # T_{2β−1} has leaves at both path ends here, so its diameter is 2β
+        return _beta_of(shorter) == _beta_of(longer) == diameter(longer) // 2
+
+    return _margins("lem25", {"n_min": n_min, "n_max": n_max}, pairs, same_beta)
 
 
 def _verify_chain33(n_min: int = 5, n_max: int = 12) -> VerificationReport:
     """Monotone chain across matching numbers: α(T_{2β₁−1}) > α(T_{2β₂−1})
     whenever β₁ < β₂ and both brooms of order n exist (n ≥ 2β₂ + 1)."""
-    if n_min < 2:
-        raise TooSmall("broom orders start at 2")
-    if n_max < n_min:
-        raise Infeasible("empty order range")
-    passed = True
-    checked = 0
-    min_gap: float | None = None
-    witnesses: list[WitnessRecord] = []
-    for n in range(n_min, n_max + 1):
-        top = (n - 1) // 2
-        for beta2 in range(2, top + 1):
-            for beta1 in range(1, beta2):
-                checked += 1
-                low = balanced_broom(n, 2 * beta1 - 1)
-                high = balanced_broom(n, 2 * beta2 - 1)
-                margin = _alpha_of(low) - _alpha_of(high)
-                min_gap = margin if min_gap is None else min(min_gap, margin)
-                if margin <= GAP_TOL:
-                    passed = False
-                    witnesses.extend([_witness(low), _witness(high)])
-    return VerificationReport(
-        "chain33",
-        {"n_min": n_min, "n_max": n_max},
-        passed,
-        checked,
-        0,
-        min_gap,
-        tuple(witnesses),
+    _check_order_range(n_min, n_max)
+    pairs = (
+        (balanced_broom(n, 2 * beta1 - 1), balanced_broom(n, 2 * beta2 - 1))
+        for n in range(n_min, n_max + 1)
+        for beta2 in range(2, (n - 1) // 2 + 1)
+        for beta1 in range(1, beta2)
     )
+    return _margins("chain33", {"n_min": n_min, "n_max": n_max}, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -495,42 +487,20 @@ def _verify_bound35(n: int) -> VerificationReport:
     order n.  min_gap is the smallest slack; the witness attains it."""
     if n < 2:
         raise TooSmall("bound applies from order 2")
-    checked = 0
-    min_slack: float | None = None
-    tight: Graph | None = None
-    tight_alpha = 0.0
-    for g in all_connected_graphs(n):
-        checked += 1
-        a = _alpha_of(g)
-        slack = a - bound_matching(n, _beta_of(g))
-        if min_slack is None or slack < min_slack:
-            min_slack, tight, tight_alpha = slack, g, a
-    passed = min_slack is not None and min_slack >= -GAP_TOL
-    witnesses = (_witness(tight, tight_alpha),) if tight is not None else ()
-    return VerificationReport(
-        "bound35", {"n": n}, passed, checked, 0, min_slack, witnesses
+    bounded = (
+        (g, bound_matching(n, _beta_of(g))) for g in all_connected_graphs(n)
     )
+    return _min_slack("bound35", {"n": n}, bounded)
 
 
 def _verify_bound36(n: int) -> VerificationReport:
     """α(G) ≥ bound_cover(n, γ(G)) − tol for every connected graph of order n."""
     if n < 2:
         raise TooSmall("bound applies from order 2")
-    checked = 0
-    min_slack: float | None = None
-    tight: Graph | None = None
-    tight_alpha = 0.0
-    for g in all_connected_graphs(n):
-        checked += 1
-        a = _alpha_of(g)
-        slack = a - bound_cover(n, edge_cover_number(g))
-        if min_slack is None or slack < min_slack:
-            min_slack, tight, tight_alpha = slack, g, a
-    passed = min_slack is not None and min_slack >= -GAP_TOL
-    witnesses = (_witness(tight, tight_alpha),) if tight is not None else ()
-    return VerificationReport(
-        "bound36", {"n": n}, passed, checked, 0, min_slack, witnesses
+    bounded = (
+        (g, bound_cover(n, edge_cover_number(g))) for g in all_connected_graphs(n)
     )
+    return _min_slack("bound36", {"n": n}, bounded)
 
 
 def _verify_lem34(
@@ -546,27 +516,16 @@ def _verify_lem34(
         raise Infeasible("grid must satisfy k,l >= 1 and dm1 >= 2")
     if k_max < k_min or l_max < l_min or dm1_max < dm1_min:
         raise Infeasible("empty grid")
-    checked = 0
-    min_slack: float | None = None
-    tight: Graph | None = None
-    tight_alpha = 0.0
-    for k in range(k_min, k_max + 1):
-        for l in range(l_min, l_max + 1):
-            for dm1 in range(dm1_min, dm1_max + 1):
-                checked += 1
-                g = double_broom(BroomParams(k=k, l=l, d=dm1))
-                a = _alpha_of(g)
-                slack = a - kirkland_bound(k, l, dm1)
-                if min_slack is None or slack < min_slack:
-                    min_slack, tight, tight_alpha = slack, g, a
-    passed = min_slack is not None and min_slack >= -GAP_TOL
-    witnesses = (_witness(tight, tight_alpha),) if tight is not None else ()
+    grid = itertools.product(
+        range(k_min, k_max + 1), range(l_min, l_max + 1), range(dm1_min, dm1_max + 1)
+    )
+    bounded = ((_broom(k, l, dm1), kirkland_bound(k, l, dm1)) for k, l, dm1 in grid)
     params = {
         "k": [k_min, k_max],
         "l": [l_min, l_max],
         "dm1": [dm1_min, dm1_max],
     }
-    return VerificationReport("lem34", params, passed, checked, 0, min_slack, witnesses)
+    return _min_slack("lem34", params, bounded)
 
 
 # ---------------------------------------------------------------------------
@@ -574,29 +533,28 @@ def _verify_lem34(
 # ---------------------------------------------------------------------------
 
 
+def _preserves_matching(g: Graph, sub: Graph, m: int) -> bool:
+    """``sub`` is a connected spanning subgraph of ``g`` with ``m`` edges
+    and the same matching number, by the bitmask DP."""
+    return (
+        sub.n == g.n
+        and sub.m == m
+        and sub.edges <= g.edges
+        and is_connected(sub)
+        and _bitmask_matching(sub)[0] == _bitmask_matching(g)[0]
+    )
+
+
 def _verify_lem26(n: int) -> VerificationReport:
     """Every connected graph of order n has a spanning tree with the same
     matching number; the construction is verified against the bitmask DP."""
     if n < 1:
         raise TooSmall("need at least one vertex")
-    checked = 0
-    passed = True
-    witnesses: list[WitnessRecord] = []
-    for g in all_connected_graphs(n):
-        checked += 1
-        t = spanning_tree_preserving_matching(g)
-        ok = (
-            t.n == g.n
-            and t.m == g.n - 1
-            and t.edges <= g.edges
-            and is_connected(t)
-            and _bitmask_matching(t)[0] == _bitmask_matching(g)[0]
-        )
-        if not ok:
-            passed = False
-            witnesses.append(_witness(g))
-    return VerificationReport(
-        "lem26", {"n": n}, passed, checked, 0, None, tuple(witnesses)
+    return _holds_for_all(
+        "lem26",
+        {"n": n},
+        all_connected_graphs(n),
+        lambda g: _preserves_matching(g, spanning_tree_preserving_matching(g), n - 1),
     )
 
 
@@ -605,28 +563,12 @@ def _verify_cor27(n: int) -> VerificationReport:
     subgraph with the same matching number.  Trees are skipped."""
     if n < 1:
         raise TooSmall("need at least one vertex")
-    checked = 0
-    skipped = 0
-    passed = True
-    witnesses: list[WitnessRecord] = []
-    for g in all_connected_graphs(n):
-        if g.m < g.n:
-            skipped += 1
-            continue
-        checked += 1
-        u = spanning_unicyclic_preserving_matching(g)
-        ok = (
-            u.n == g.n
-            and u.m == g.n
-            and u.edges <= g.edges
-            and is_connected(u)
-            and _bitmask_matching(u)[0] == _bitmask_matching(g)[0]
-        )
-        if not ok:
-            passed = False
-            witnesses.append(_witness(g))
-    return VerificationReport(
-        "cor27", {"n": n}, passed, checked, skipped, None, tuple(witnesses)
+    return _holds_for_all(
+        "cor27",
+        {"n": n},
+        all_connected_graphs(n),
+        lambda g: _preserves_matching(g, spanning_unicyclic_preserving_matching(g), n),
+        skip=lambda g: g.m < g.n,
     )
 
 
@@ -639,19 +581,14 @@ def _min_edge_cover_size(g: Graph) -> int:
     for u, v in g.sorted_edges():
         edges_at[u].append((u, v))
         edges_at[v].append((u, v))
-    memo: dict[int, int] = {0: 0}
 
+    @lru_cache(maxsize=None)
     def cover(mask: int) -> int:
-        known = memo.get(mask)
-        if known is not None:
-            return known
+        if not mask:
+            return 0
         v = (mask & -mask).bit_length() - 1
-        best = g.n + 1
-        for a, b in edges_at[v]:
-            rest = mask & ~((1 << a) | (1 << b))
-            best = min(best, 1 + cover(rest))
-        memo[mask] = best
-        return best
+        rests = (mask & ~((1 << a) | (1 << b)) for a, b in edges_at[v])
+        return 1 + min((cover(rest) for rest in rests), default=g.n)
 
     return cover((1 << g.n) - 1)
 
@@ -661,19 +598,12 @@ def _verify_gallai(n: int) -> VerificationReport:
     by the independent subset-DP minimum edge cover."""
     if n < 2:
         raise TooSmall("edge covers need order >= 2")
-    checked = 0
-    passed = True
-    witnesses: list[WitnessRecord] = []
-    for g in all_connected_graphs(n):
-        checked += 1
+
+    def gallai_holds(g: Graph) -> bool:
         direct = _min_edge_cover_size(g)
-        ok = direct == n - _beta_of(g) and direct == edge_cover_number(g)
-        if not ok:
-            passed = False
-            witnesses.append(_witness(g))
-    return VerificationReport(
-        "gallai", {"n": n}, passed, checked, 0, None, tuple(witnesses)
-    )
+        return direct == n - _beta_of(g) and direct == edge_cover_number(g)
+
+    return _holds_for_all("gallai", {"n": n}, all_connected_graphs(n), gallai_holds)
 
 
 # ---------------------------------------------------------------------------
@@ -681,25 +611,20 @@ def _verify_gallai(n: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _classifies(t: Graph) -> bool:
+    try:
+        classify_fiedler(t, fiedler_vector(t))
+    except ClassificationInconsistent:
+        return False
+    return True
+
+
 def _verify_fiedler21(n: int) -> VerificationReport:
     """Every tree of order n classifies as exactly one of the two Fiedler
     types, with all structural sub-conditions verified by the classifier."""
     if n < 2:
         raise TooSmall("classification needs order >= 2")
-    checked = 0
-    passed = True
-    witnesses: list[WitnessRecord] = []
-    for t in all_trees(n):
-        checked += 1
-        data = fiedler_vector(t)
-        try:
-            classify_fiedler(t, data)
-        except ClassificationInconsistent:
-            passed = False
-            witnesses.append(_witness(t, data.alpha))
-    return VerificationReport(
-        "fiedler21", {"n": n}, passed, checked, 0, None, tuple(witnesses)
-    )
+    return _holds_for_all("fiedler21", {"n": n}, all_trees(n), _classifies)
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,26 @@ def test_no_arguments_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["alpha", "-"], "dot"),
+        (["invariants", "-"], "dot"),
+        (["classify", "-"], "csv"),
+        (["enumerate", "trees", "--n", "4"], "csv"),
+        (["verify", "thm31", "--n", "4"], "dot"),
+        (["bounds", "--n", "5", "--beta", "2"], "graph6"),
+        (["construct", "extremal", "--n", "5", "--beta", "2"], "csv"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else value,
+)
+def test_unsupported_output_is_usage_error(capsys, monkeypatch, argv, output):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    code = main([*argv, "--output", output])
+    assert code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_alpha_multiline_graph6_file(capsys, tmp_path):
     path = tmp_path / "batch.g6"
     from algconn import encode_graph6
