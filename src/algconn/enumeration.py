@@ -2,14 +2,16 @@
 
 Trees of order ``n`` grow from those of order ``n - 1`` by attaching a leaf
 at every vertex, deduplicated by the centred tree code; each class is then
-relabeled to its minimal packed code by a column-by-column search.
+labeled by its minimal packed code (:func:`algconn.graph._min_code`, the
+kernel behind ``canonical_form``).
 Connected graphs come from every edge subset of the complete graph,
 filtered by connectivity, and dedup to one representative per isomorphism
 class by deleting whole relabeling orbits from the sorted array of labeled
 codes, so each class is its orbit's minimal code.
 
 Streams yield graphs in a deterministic order (sorted by canonical code) and
-are cached per ``(kind, n)``, so repeated scans are cheap.
+are cached per ``(kind, n)``, so repeated scans are cheap; matching-number
+filters share the verifier's cached :func:`_beta_of`.
 """
 
 from __future__ import annotations
@@ -25,16 +27,16 @@ import numpy as np
 from .errors import EmptyClassWarning, TooLarge, TooSmall
 from .graph import (
     Graph,
+    _min_code,
     _relabeled_codes,
     _tree_code,
     _unpack_code,
     is_tree,
-    relabel,
 )
 from .matching import matching_number
 
-#: Growing the free trees is cheap well past 9, but each class is labeled by
-#: its minimal code, and that search keeps (n - 1)! prefixes for the star.
+#: Growing the free trees is cheap well past 9, but the minimal-code search
+#: that labels them is exponential: 0.4 / 1.8 / 16 s at order 10 / 11 / 12.
 TREE_CEILING = 9
 
 #: Edge subsets of the complete graph: 2^21 masks at order 7.
@@ -42,6 +44,11 @@ CONNECTED_CEILING = 7
 
 KIND_TREES = "trees"
 KIND_CONNECTED = "connected"
+
+
+@lru_cache(maxsize=None)
+def _beta_of(g: Graph) -> int:
+    return matching_number(g)
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ class GraphStream:
                     not g.adjacency[v] for v in range(g.n)
                 ):
                     continue  # no edge cover exists
-                if matching_number(g) != want_beta:
+                if _beta_of(g) != want_beta:
                     continue
             yield g
 
@@ -138,35 +145,6 @@ def with_cover(stream: GraphStream, gamma: int) -> GraphStream:
 # ---------------------------------------------------------------------------
 
 
-def _min_code_labeling(t: Graph) -> Graph:
-    """``t`` relabeled to its minimal packed code over all vertex permutations.
-
-    Code order compares column ``j`` (vertex ``j``'s adjacency to ``0..j-1``,
-    vertex 0 most significant) before column ``j + 1``, and every column at
-    one step has the same length, so a prefix of the labeling whose columns
-    are not minimal so far can never finish minimal.  Each step extends every
-    surviving prefix by every unused vertex and keeps those whose new column
-    is the minimum; ``nxt[r, v]`` is the column vertex ``v`` would get next in
-    prefix ``r``.  The star keeps the most prefixes, ``(n - 1)!``.
-    """
-    n = t.n
-    adj = np.zeros((n, n), dtype=np.int64)
-    for u, v in t.edges:
-        adj[u, v] = adj[v, u] = 1
-    order = np.arange(n, dtype=np.int64)[:, None]
-    used = np.eye(n, dtype=bool)
-    nxt = adj.copy()
-    for _ in range(1, n):
-        cand = np.where(used, np.iinfo(np.int64).max, nxt)
-        rows, verts = np.nonzero(cand == cand.min())
-        order = np.column_stack((order[rows], verts))
-        used = used[rows]
-        used[np.arange(rows.shape[0]), verts] = True
-        nxt = (nxt[rows] << 1) | adj[verts]
-    # every survivor has the same code; vertex order[0][j] becomes j
-    return relabel(t, np.argsort(order[0]).tolist())
-
-
 @lru_cache(maxsize=None)
 def _tree_list(n: int) -> tuple[Graph, ...]:
     if n == 1:
@@ -176,7 +154,7 @@ def _tree_list(n: int) -> tuple[Graph, ...]:
         for v in range(n - 1):
             grown = Graph(n, t.edges | {(v, n - 1)})
             classes.setdefault(_tree_code(grown), grown)
-    return tuple(_min_code_labeling(classes[code]) for code in sorted(classes))
+    return tuple(_unpack_code(n, _min_code(classes[code])) for code in sorted(classes))
 
 
 # ---------------------------------------------------------------------------

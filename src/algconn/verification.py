@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .enumeration import all_connected_graphs, all_trees, with_cover
+from .enumeration import _beta_of, all_connected_graphs, all_trees, with_cover
 from .errors import (
     ClassificationInconsistent,
     Infeasible,
@@ -54,7 +54,6 @@ from .graph import Graph, diameter, encode_graph6, is_connected, is_isomorphic
 from .matching import (
     _bitmask_matching,
     edge_cover_number,
-    matching_number,
     spanning_tree_preserving_matching,
     spanning_unicyclic_preserving_matching,
 )
@@ -231,11 +230,6 @@ class VerificationReport:
 @lru_cache(maxsize=None)
 def _alpha_of(g: Graph) -> float:
     return algebraic_connectivity(g)
-
-
-@lru_cache(maxsize=None)
-def _beta_of(g: Graph) -> int:
-    return matching_number(g)
 
 
 def _witness(g: Graph) -> WitnessRecord:

@@ -28,8 +28,9 @@ from algconn import (
     relabel,
     star_graph,
 )
-from algconn.graph import CANONICAL_CEILING
-from conftest import brute_canonical_code, brute_is_isomorphic
+from algconn.enumeration import all_connected_graphs
+from algconn.graph import CANONICAL_CEILING, _min_code
+from conftest import brute_canonical_code, brute_is_isomorphic, brute_min_packed_code
 
 
 def random_graph(n, p, rng):
@@ -165,7 +166,7 @@ def test_edge_list_rejects_malformed():
 
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(11)
-    for n in range(2, 8):
+    for n in range(2, CANONICAL_CEILING + 1):
         g = random_graph(n, 0.5, rng)
         base = canonical_form(g)
         for _ in range(10):
@@ -208,9 +209,29 @@ def test_tree_and_generic_codes_agree_on_trees():
 def test_canonical_form_size_limit():
     with pytest.raises(TooLarge):
         canonical_form(cycle_graph(CANONICAL_CEILING + 1))
-    # trees use the linear-time route but share the documented ceiling
-    with pytest.raises(TooLarge):
-        canonical_form(path_graph(CANONICAL_CEILING + 1))
+    # trees take the linear-time route, which has no ceiling
+    path = path_graph(CANONICAL_CEILING + 1)
+    reversed_path = relabel(path, list(range(path.n))[::-1])
+    assert canonical_form(path) == canonical_form(reversed_path)
+
+
+@pytest.mark.parametrize("n", [11, 16, 3000])  # 3000: deeper than the recursion limit
+def test_is_isomorphic_on_trees_above_the_ceiling(n):
+    rng = random.Random(n)
+    tree = from_edge_list(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    assert is_isomorphic(tree, relabel(tree, perm))
+    assert is_isomorphic(path_graph(n), relabel(path_graph(n), perm))
+    assert not is_isomorphic(path_graph(n), star_graph(n - 1))
+
+
+def test_min_code_matches_brute_force(zoo):
+    graphs = [g for n in range(1, 7) for g in all_connected_graphs(n)]
+    graphs += [zoo[k] for k in ("two_edges", "edge_plus_isolated", "empty3")]
+    graphs.append(from_edge_list(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))  # 4K2
+    for g in graphs:
+        assert _min_code(g) == brute_min_packed_code(g), encode_graph6(g)
 
 
 def test_canonical_form_is_hashable_identity():

@@ -1,6 +1,7 @@
 """Closed-form bounds, verification reports, and the target runners."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from algconn import (
     path_graph,
     verify,
 )
+from algconn import enumeration, matching
 from algconn.verification import GAP_TOL, TARGETS
 
 
@@ -193,6 +195,22 @@ def test_thm32_and_cor33_agree():
     assert a["witnesses"] == b["witnesses"]
     assert a["checked"] == b["checked"] == 21
     assert a["min_gap"] == b["min_gap"]
+
+
+def test_cor33_computes_each_matching_number_once(monkeypatch):
+    """The cover filter runs once per β class, but every pass and the
+    verifier's witnesses share one cached β per graph."""
+    calls = Counter()
+
+    def counted(g):
+        calls[g] += 1
+        return matching.matching_number(g)
+
+    monkeypatch.setattr(enumeration, "matching_number", counted)
+    enumeration._beta_of.cache_clear()
+    assert verify("cor33", n=6).passed
+    assert len(calls) == 112
+    assert max(calls.values()) == 1
 
 
 def test_lem23_diameter_classes():
