@@ -4,10 +4,12 @@ Trees of order ``n`` grow from those of order ``n - 1`` by attaching a leaf
 at every vertex, deduplicated by the centred tree code; each class is then
 labeled by its minimal packed code (:func:`algconn.graph._min_code`, the
 kernel behind ``canonical_form``).
-Connected graphs come from every edge subset of the complete graph,
-filtered by connectivity, and dedup to one representative per isomorphism
-class by deleting whole relabeling orbits from the sorted array of labeled
-codes, so each class is its orbit's minimal code.
+Connected graphs come from one pass over every edge mask of the complete
+graph: the smallest mask not yet reached is its class's minimal code, and
+its whole relabeling orbit, summed from the relabeled weight of each set
+bit under every permutation, is struck off; disconnected classes are then
+dropped.  Order 7 (2^21 masks, 1 044 classes, 853 connected) takes about
+0.1 s.
 
 Streams yield graphs in a deterministic order (sorted by canonical code) and
 are cached per ``(kind, n)``, so repeated scans are cheap; matching-number
@@ -27,10 +29,11 @@ import numpy as np
 from .errors import EmptyClassWarning, TooLarge, TooSmall
 from .graph import (
     Graph,
+    _bit_position_table,
     _min_code,
-    _relabeled_codes,
     _tree_code,
     _unpack_code,
+    is_connected,
     is_tree,
 )
 from .matching import matching_number
@@ -39,7 +42,9 @@ from .matching import matching_number
 #: that labels them is exponential: 0.4 / 1.8 / 16 s at order 10 / 11 / 12.
 TREE_CEILING = 9
 
-#: Edge subsets of the complete graph: 2^21 masks at order 7.
+#: The orbit pass keeps one flag per edge mask and one relabeled weight per
+#: (bit, permutation): 2 MB and 0.8 MB at order 7, 0.09 s.  Order 8 would
+#: need 2^28 flags and a 28 x 40 320 sum for each of 12 346 classes.
 CONNECTED_CEILING = 7
 
 KIND_TREES = "trees"
@@ -114,9 +119,10 @@ def with_matching(stream: GraphStream, beta: int) -> GraphStream:
     """Restrict a stream to graphs with the given matching number.
 
     Emits :class:`EmptyClassWarning` (and streams nothing) when no connected
-    graph of that order can have the requested value.
+    graph of that order can have the requested value: ``1..n // 2``, or only
+    0 for the edgeless K₁.
     """
-    if beta < 1 or beta > stream.n // 2:
+    if beta < min(1, stream.n - 1) or beta > stream.n // 2:
         warnings.warn(
             f"no connected graph of order {stream.n} has matching number {beta}",
             EmptyClassWarning,
@@ -158,57 +164,36 @@ def _tree_list(n: int) -> tuple[Graph, ...]:
 
 
 # ---------------------------------------------------------------------------
-# connected graphs: all edge subsets + connectivity filter + orbit dedup
+# connected graphs: one orbit pass over all edge masks + connectivity filter
 # ---------------------------------------------------------------------------
 
 
-def _connected_codes(n: int) -> np.ndarray:
-    """Sorted packed codes of every connected labeled graph on ``n`` vertices."""
-    pair_count = n * (n - 1) // 2
-    masks = np.arange(1 << pair_count, dtype=np.int64)
-    rows_bits = np.zeros((n, masks.shape[0]), dtype=np.uint8)
-    for j in range(1, n):
-        for i in range(j):
-            pos = pair_count - 1 - (j * (j - 1) // 2 + i)
-            bit = ((masks >> pos) & 1).astype(np.uint8)
-            rows_bits[i] |= bit << j
-            rows_bits[j] |= bit << i
-    reach = np.ones(masks.shape[0], dtype=np.uint8)
-    for _ in range(n - 1):
-        for v in range(n):
-            has = (reach >> v) & 1
-            reach |= rows_bits[v] * has
-    connected = reach == (1 << n) - 1
-    return masks[connected].astype(np.uint64)
+def _orbit_minima(n: int) -> list[int]:
+    """The minimal packed code of every isomorphism class of graphs on ``n``
+    vertices, connected or not, in increasing order.
 
-
-def _all_permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
-def _orbit_minima(codes: np.ndarray, n: int) -> list[int]:
-    """The minimal packed code of each isomorphism class.
-
-    ``codes`` must be the sorted array of every labeled member's packed code.
-    Processing order: take the smallest still-alive code, compute its whole
-    relabeling orbit in one vectorized pass, delete the orbit, repeat.
+    ``alive[mask]`` marks the edge masks not yet reached.  Every smaller mask
+    is dead by the time the scan stops, so the smallest alive mask is its
+    class's minimum; its whole relabeling orbit is then deleted at once.
+    ``weights[b, r]`` is the weight that bit ``b`` moves to under ``perms[r]``;
+    a relabeling maps distinct edges to distinct edges, so the weights of a
+    code's set bits never overlap and their column sums are the orbit.
     """
-    perms = _all_permutations(n)
-    alive = np.ones(codes.shape[0], dtype=bool)
+    pair_count = n * (n - 1) // 2
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    position = _bit_position_table(n).astype(np.int64)
+    i, j = np.triu_indices(n, 1)
+    bit = np.argsort(position[i, j])  # the pair behind each bit, lowest first
+    weights = np.left_shift(1, position[perms[:, i[bit]], perms[:, j[bit]]].T)
+    alive = np.ones(1 << pair_count, dtype=bool)
     minima: list[int] = []
-    ptr = 0
-    total = codes.shape[0]
+    code = 0
     while True:
-        while ptr < total and not alive[ptr]:
-            ptr += 1
-        if ptr >= total:
-            break
-        orbit = _relabeled_codes(_unpack_code(n, int(codes[ptr])), perms)
-        members = np.unique(orbit)
-        locs = np.searchsorted(codes, members)
-        alive[locs] = False
-        minima.append(int(members[0]))
-    return minima
+        code += int(alive[code:].argmax())
+        if not alive[code]:
+            return minima
+        minima.append(code)
+        alive[weights[[b for b in range(pair_count) if code >> b & 1]].sum(0)] = False
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +202,10 @@ def _connected_list(n: int) -> tuple[Graph, ...]:
         return (Graph(1),)
     pair_count = n * (n - 1) // 2
     keyed = []
-    for code in _orbit_minima(_connected_codes(n), n):
+    for code in _orbit_minima(n):
         g = _unpack_code(n, code)
+        if not is_connected(g):
+            continue
         # canonical_form's bits: the centred code for a tree, otherwise the
         # orbit-minimal code this representative already is
         key = _tree_code(g) if is_tree(g) else format(code, f"0{pair_count}b")

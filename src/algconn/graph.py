@@ -240,7 +240,11 @@ def parse_graph6(text: str) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format: a header ``n m`` then ``m`` lines ``u v``."""
+    """Parse the plain edge-list format: a header ``n m`` then ``m`` lines ``u v``.
+
+    Raises:
+        ParseError: on a malformed line, a wrong edge count or a repeated pair.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty edge-list input")
@@ -253,15 +257,19 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"non-integer header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise ParseError(f"header declares {m} edges but {len(lines) - 1} lines follow")
-    edges = []
+    edges: set[tuple[int, int]] = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"expected edge line 'u v', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ParseError(f"non-integer edge line {ln!r}") from exc
+        pair = (u, v) if u < v else (v, u)
+        if pair in edges:
+            raise ParseError(f"edge {u} {v} is listed twice")
+        edges.add(pair)
     return Graph(n, frozenset(edges))
 
 
@@ -351,18 +359,6 @@ def _unpack_code(n: int, code: int) -> Graph:
             if (code >> (pair_count - 1 - _pair_index(i, j))) & 1:
                 edges.append((i, j))
     return Graph(n, frozenset(edges))
-
-
-def _relabeled_codes(g: Graph, perms: np.ndarray) -> np.ndarray:
-    """Packed code of ``g`` relabeled by each row of ``perms`` (vertex ``v``
-    goes to ``perms[r, v]``), as a uint64 array."""
-    table = _bit_position_table(g.n)
-    codes = np.zeros(perms.shape[0], dtype=np.uint64)
-    for u, v in g.sorted_edges():
-        lo = np.minimum(perms[:, u], perms[:, v])
-        hi = np.maximum(perms[:, u], perms[:, v])
-        codes |= np.left_shift(np.uint64(1), table[lo, hi].astype(np.uint64))
-    return codes
 
 
 def _min_code(g: Graph) -> int:

@@ -1,7 +1,9 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import hashlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -223,6 +225,33 @@ def test_enumerate_json_array(capsys):
     assert len(data) == 6
 
 
+#: sha256 of ``algconn enumerate connected --n 7`` stdout with these extra
+#: arguments, recorded before the connected classes came from one pass over
+#: every edge mask.
+ENUMERATE_CONNECTED_7_SHA256 = {
+    (): "1a11d6c4436f420f4444beabe0f188c97408b9b36af4a3eeffd9b7f41e2a5258",
+    ("--beta", "3"): "4c6d73708e292011f7fb1927885147ce47c9e91865412b46edde50c7e13b6f82",
+    ("--gamma", "4"): "4c6d73708e292011f7fb1927885147ce47c9e91865412b46edde50c7e13b6f82",
+    ("--output", "json"): "9eeee09bb9d04994485f4f9bbfc923e9d814648681b42a081373900ed52db640",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(ENUMERATE_CONNECTED_7_SHA256))
+def test_enumerate_connected_bytes_are_pinned(capsys, extra):
+    code, out, err = run(capsys, "enumerate", "connected", "--n", "7", *extra)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_CONNECTED_7_SHA256[extra]
+
+
+def test_enumerate_order_one_with_matching_number_zero(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "enumerate", "trees", "--n", "1", "--beta", "0")
+    assert code == 0
+    assert (out, err) == ("@\n", "")
+
+
 def test_enumerate_empty_class_warns_but_succeeds(capsys):
     with pytest.warns(Warning):
         code = main(["enumerate", "trees", "--n", "6", "--beta", "9"])
@@ -304,6 +333,15 @@ def test_both_input_forms_rejected(capsys, k3_file):
     code, _, err = run(capsys, "alpha", k3_file, "-i", k3_file)
     assert code == 2
     assert "not both" in err
+
+
+def test_repeated_edge_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("3 2\n0 1\n1 0\n")
+    code, out, err = run(capsys, "invariants", str(path), "--format", "edgelist")
+    assert code == 2
+    assert out == ""
+    assert err == "error: edge 1 0 is listed twice\n"
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -23,11 +23,14 @@ from algconn import (
     with_cover,
     with_matching,
 )
-from algconn.enumeration import CONNECTED_CEILING, TREE_CEILING
+from algconn.enumeration import CONNECTED_CEILING, TREE_CEILING, _orbit_minima
+from algconn.graph import _min_code, _unpack_code
 from conftest import brute_canonical_code, brute_min_packed_code, packed_code
 
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+#: Isomorphism classes of all graphs, connected or not (OEIS A000088).
+GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
 def brute_unlabeled(n, keep):
@@ -110,6 +113,26 @@ def test_trees_match_networkx(n):
     ours = [canonical_form(t) for t in all_trees(n)]
     assert len(ours) == len(theirs)
     assert set(ours) == set(theirs)
+
+
+@pytest.mark.parametrize("n", sorted(GRAPH_COUNTS))
+def test_orbit_minima_one_increasing_code_per_class(n):
+    minima = _orbit_minima(n)
+    assert len(minima) == GRAPH_COUNTS[n]
+    assert all(a < b for a, b in zip(minima, minima[1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_minima_match_brute_force(n):
+    # disconnected classes included: the pass scans every edge mask
+    for code in _orbit_minima(n):
+        assert code == brute_min_packed_code(_unpack_code(n, code))
+
+
+def test_orbit_minima_match_min_code_at_ceiling():
+    n = CONNECTED_CEILING
+    for code in _orbit_minima(n):
+        assert code == _min_code(_unpack_code(n, code))
 
 
 #: sha256 of the newline-joined graph6 lines that ``algconn enumerate``
@@ -198,6 +221,15 @@ def test_empty_class_warns():
     assert list(stream) == []
     with pytest.warns(EmptyClassWarning):
         stream = with_cover(all_trees(6), 1)
+    assert list(stream) == []
+
+
+def test_order_one_has_matching_number_zero(recwarn):
+    assert [encode_graph6(g) for g in with_matching(all_trees(1), 0)] == ["@"]
+    assert [encode_graph6(g) for g in with_matching(all_connected_graphs(1), 0)] == ["@"]
+    assert not [w for w in recwarn if issubclass(w.category, EmptyClassWarning)]
+    with pytest.warns(EmptyClassWarning):
+        stream = with_matching(all_trees(1), 1)
     assert list(stream) == []
 
 

@@ -164,6 +164,14 @@ def test_edge_list_rejects_malformed():
         parse_edge_list("3 1\n0 x\n")
 
 
+@pytest.mark.parametrize("text", ["3 2\n0 1\n0 1\n", "3 2\n0 1\n1 0\n"])
+def test_edge_list_rejects_repeated_edge(text):
+    with pytest.raises(ParseError, match="edge . . is listed twice"):
+        parse_edge_list(text)
+    with pytest.raises(ParseError):
+        parse_edge_list(text.replace("3 2", "3 3", 1) + "1 2\n")
+
+
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(11)
     for n in range(2, CANONICAL_CEILING + 1):
