@@ -1,8 +1,13 @@
-"""Matching number, edge cover number, and matching-preserving spanning subgraphs."""
+"""Matching number, edge cover number, and matching-preserving spanning subgraphs.
+
+The spanning tree keeps one maximum matching: a single Kruskal pass takes the
+matching edges first and then the other edges in descending order, which
+builds the same tree as deleting the smallest non-matching edge of a cycle
+until none is left.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import IsolatedVertex, NoCycle, NotConnected, TooLarge
@@ -154,55 +159,19 @@ def edge_cover_number(g: Graph) -> int:
     return g.n - matching_number(g)
 
 
-def _find_cycle_edges(g: Graph) -> list[tuple[int, int]]:
-    """Edges of one cycle, or [] when the graph is acyclic.
-
-    Breadth-first search (neighbors in ascending order); the first non-tree
-    edge closes a cycle through the two endpoints' meeting ancestor.  A
-    non-tree edge can join two branches of the search tree, so both
-    endpoints are climbed rather than only one.
-    """
-    adj = g.adjacency
-    parent = [-2] * g.n  # -2 unvisited, -1 root
-    depth = [0] * g.n
-    for start in range(g.n):
-        if parent[start] != -2:
-            continue
-        parent[start] = -1
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(adj[v]):
-                if parent[w] == -2:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                    continue
-                if w == parent[v] or v == parent[w]:
-                    continue
-                cycle = [(v, w) if v < w else (w, v)]
-                a, b = v, w
-                while depth[a] > depth[b]:
-                    cycle.append((a, parent[a]) if a < parent[a] else (parent[a], a))
-                    a = parent[a]
-                while depth[b] > depth[a]:
-                    cycle.append((b, parent[b]) if b < parent[b] else (parent[b], b))
-                    b = parent[b]
-                while a != b:
-                    cycle.append((a, parent[a]) if a < parent[a] else (parent[a], a))
-                    cycle.append((b, parent[b]) if b < parent[b] else (parent[b], b))
-                    a = parent[a]
-                    b = parent[b]
-                return cycle
-    return []
-
-
 def spanning_tree_preserving_matching(g: Graph) -> Graph:
     """Spanning tree with the same matching number as the host graph.
 
-    Fixes one maximum matching, then repeatedly finds a cycle and deletes its
-    lexicographically smallest non-matching edge (a cycle can never consist
-    of matching edges alone), so the fixed matching survives into the tree.
+    One Kruskal pass with a union-find forest: the edges of one maximum
+    matching go in first (they share no vertex, so none closes a cycle),
+    then the other edges in descending order, each kept when it joins two
+    components.  The fixed matching survives into the tree.
+
+    Ranking matching edges above all others and larger edges above smaller
+    ones makes the result the unique maximum spanning tree.  It is also what
+    repeatedly deleting the smallest non-matching edge of some cycle gives:
+    that edge is the lightest on its cycle, so by the cycle property it is
+    never in the maximum spanning tree.
 
     Raises:
         NotConnected: when the input is disconnected.
@@ -210,12 +179,21 @@ def spanning_tree_preserving_matching(g: Graph) -> Graph:
     if not is_connected(g):
         raise NotConnected("spanning trees require a connected graph")
     kept = maximum_matching(g).edges
-    current = g
-    while current.m > current.n - 1:
-        cycle = _find_cycle_edges(current)
-        candidates = sorted(e for e in cycle if e not in kept)
-        current = Graph(current.n, current.edges - {candidates[0]})
-    return current
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tree = []
+    for u, v in [*kept, *sorted(g.edges - kept, reverse=True)]:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            tree.append((u, v))
+    return Graph(g.n, frozenset(tree))
 
 
 def spanning_unicyclic_preserving_matching(g: Graph) -> Graph:

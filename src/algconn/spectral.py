@@ -195,40 +195,6 @@ def rayleigh_quotient(g: Graph, x) -> float:
     return num / denom
 
 
-def _check_monotone_from_zero_root(t: Graph, vals: np.ndarray, z: int) -> None:
-    """Every path leaving ``z`` must be all-zero, strictly increasing, or
-    strictly decreasing (entering nonzero territory only on its first step)."""
-    adj = t.adjacency
-    stack = [(w, z, 0.0, "zero") for w in sorted(adj[z], reverse=True)]
-    while stack:
-        v, parent, prev, mode = stack.pop()
-        val = vals[v]
-        if mode == "zero":
-            if val == 0.0:
-                nxt = "zero"
-            elif parent == z:
-                nxt = "inc" if val > 0.0 else "dec"
-            else:
-                raise ClassificationInconsistent(
-                    f"path from vertex {z} leaves the zero set after vertex {parent}"
-                )
-        elif mode == "inc":
-            if not val > prev:
-                raise ClassificationInconsistent(
-                    f"values fail to increase strictly at vertex {v}"
-                )
-            nxt = "inc"
-        else:
-            if not val < prev:
-                raise ClassificationInconsistent(
-                    f"values fail to decrease strictly at vertex {v}"
-                )
-            nxt = "dec"
-        for w in adj[v]:
-            if w != parent:
-                stack.append((w, v, val, nxt))
-
-
 def _check_strict_paths(
     t: Graph, vals: np.ndarray, start: int, forbidden: int, increasing: bool
 ) -> None:
@@ -302,7 +268,10 @@ def classify_fiedler(t: Graph, data: FiedlerData) -> FiedlerClass:
                 f"expected one zero vertex with nonzero neighbors, found {len(boundary)}"
             )
         z = boundary[0]
-        _check_monotone_from_zero_root(t, vals, z)
+        # paths through a zero neighbour stay zero: z is the only boundary vertex
+        for w in sorted(adj[z]):
+            if vals[w] != 0.0:
+                _check_strict_paths(t, vals, w, z, increasing=vals[w] > 0.0)
         return FiedlerClass(
             kind="I", characteristic_vertex=z, zero_set=zero_set
         )

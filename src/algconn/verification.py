@@ -529,13 +529,14 @@ def _verify_lem34(
 
 def _preserves_matching(g: Graph, sub: Graph, m: int) -> bool:
     """``sub`` is a connected spanning subgraph of ``g`` with ``m`` edges
-    and the same matching number, by the bitmask DP."""
+    and the same matching number: the bitmask DP on ``sub`` against the
+    cached β of ``g``."""
     return (
         sub.n == g.n
         and sub.m == m
         and sub.edges <= g.edges
         and is_connected(sub)
-        and _bitmask_matching(sub)[0] == _bitmask_matching(g)[0]
+        and _bitmask_matching(sub)[0] == _beta_of(g)
     )
 
 

@@ -1,5 +1,6 @@
 """Matching number, edge covers, and matching-preserving spanning subgraphs."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from algconn import (
     complete_graph,
     cycle_graph,
     edge_cover_number,
+    encode_graph6,
     from_edge_list,
     is_connected,
     is_tree,
@@ -25,12 +27,12 @@ from algconn import (
     spanning_unicyclic_preserving_matching,
     star_graph,
 )
-from algconn.matching import (
-    MATCHING_DP_CEILING,
-    _bitmask_matching,
-    _find_cycle_edges,
-)
+from algconn.matching import MATCHING_DP_CEILING, _bitmask_matching
 from conftest import brute_matching_number, brute_min_edge_cover, full_table_matching
+
+#: sha256 of the builders' graph6 lines in ``test_spanning_builders_outputs_pinned``.
+TREES_SHA256 = "b992f7fcd953044845e8aabd27b92cbb83c769b50f662e006e1669a80074fcbf"
+UNICYCLIC_SHA256 = "3241d0bf87ca492466d67700dce0140c991601f69a72ff62f88cf76351c869a8"
 
 
 def test_matching_number_known_values(zoo):
@@ -144,45 +146,14 @@ def test_edge_cover_exhaustive_small():
             assert edge_cover_number(g) == brute_min_edge_cover(g)
 
 
-def test_find_cycle_on_acyclic_graphs(zoo):
-    assert _find_cycle_edges(zoo["p5"]) == []
-    assert _find_cycle_edges(zoo["star4"]) == []
-    assert _find_cycle_edges(zoo["two_edges"]) == []
-
-
-def test_find_cycle_returns_a_simple_cycle():
-    cases = [
-        complete_graph(3),
-        complete_graph(5),
-        cycle_graph(7),
-        from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
-        # two branches meet: the closing edge joins siblings of the search tree
-        from_edge_list(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]),
-    ]
-    for g in cases:
-        cycle = _find_cycle_edges(g)
-        assert cycle, g
-        assert len(set(cycle)) == len(cycle)
-        degree = {}
-        for u, v in cycle:
-            assert (u, v) in g.edges
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        assert all(d == 2 for d in degree.values())
-
-
-def test_find_cycle_unicyclic_returns_the_cycle():
-    g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5)])
-    assert sorted(_find_cycle_edges(g)) == [(1, 2), (1, 3), (2, 3)]
-
-
 def test_spanning_tree_preserves_matching_exhaustive():
-    for n in range(2, 7):
+    for n in range(2, 8):
         for g in all_connected_graphs(n):
             t = spanning_tree_preserving_matching(g)
             assert t.n == g.n
             assert is_tree(t)
             assert t.edges <= g.edges
+            assert maximum_matching(g).edges <= t.edges
             assert matching_number(t) == matching_number(g)
 
 
@@ -197,7 +168,7 @@ def test_spanning_tree_rejects_disconnected(zoo):
 
 
 def test_spanning_unicyclic_preserves_matching_exhaustive():
-    for n in range(3, 7):
+    for n in range(3, 8):
         for g in all_connected_graphs(n):
             if g.m < g.n:
                 continue
@@ -206,7 +177,27 @@ def test_spanning_unicyclic_preserves_matching_exhaustive():
             assert u.m == u.n  # connected with exactly one cycle
             assert is_connected(u)
             assert u.edges <= g.edges
+            assert maximum_matching(g).edges <= u.edges
             assert matching_number(u) == matching_number(g)
+
+
+def test_spanning_builders_outputs_pinned():
+    """The graph6 lines both builders return, hashed: every connected graph
+    of order at most 7, then seeded random graphs of order 12 to 18."""
+    graphs = [g for n in range(1, 8) for g in all_connected_graphs(n)]
+    rng = random.Random(2014)
+    for n in range(12, 19):
+        graphs.extend(_random_connected(n, m, rng) for m in (n - 1, n, 2 * n))
+    trees = "\n".join(
+        encode_graph6(spanning_tree_preserving_matching(g)) for g in graphs
+    )
+    unicyclic = "\n".join(
+        encode_graph6(spanning_unicyclic_preserving_matching(g))
+        for g in graphs
+        if g.m >= g.n
+    )
+    assert hashlib.sha256(trees.encode()).hexdigest() == TREES_SHA256
+    assert hashlib.sha256(unicyclic.encode()).hexdigest() == UNICYCLIC_SHA256
 
 
 def test_spanning_unicyclic_rejects_trees_and_disconnected(zoo):

@@ -245,3 +245,37 @@ def test_classify_rejects_bad_vectors():
     # a constant vector is no Fiedler vector: every edge difference vanishes
     with pytest.raises(ClassificationInconsistent):
         classify_fiedler(g, FiedlerData(data.alpha, np.ones(4), 1))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [2, 1, 0, -2, -1],  # Type I, not monotone beyond the negative side
+        [1, 2, 0, -1, -0.5],  # Type I, not monotone on either side
+        [1, 0, 0, -1, -2],  # two zero vertices with nonzero neighbours
+    ],
+)
+def test_classify_rejects_inconsistent_type_one(values):
+    with pytest.raises(ClassificationInconsistent):
+        classify_fiedler(path_graph(5), FiedlerData(0.0, np.array(values, float), 1))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, -1, 1, -1],  # every edge changes sign
+        [1, -1, -2, 1],  # two sign-change edges
+        [2, 1, -1, -0.5],  # Type II, not monotone beyond the negative end
+    ],
+)
+def test_classify_rejects_inconsistent_type_two(values):
+    with pytest.raises(ClassificationInconsistent):
+        classify_fiedler(path_graph(4), FiedlerData(0.0, np.array(values, float), 1))
+
+
+def test_classify_hand_built_type_one():
+    vector = np.array([1, 0.5, 0, -1, -2], float)
+    cls = classify_fiedler(path_graph(5), FiedlerData(0.0, vector, 1))
+    assert cls.kind == "I"
+    assert cls.characteristic_vertex == 2
+    assert cls.zero_set == frozenset({2})

@@ -21,7 +21,7 @@ from algconn import (
     path_graph,
     verify,
 )
-from algconn import enumeration, matching
+from algconn import enumeration, matching, verification
 from algconn.verification import GAP_TOL, TARGETS
 
 
@@ -211,6 +211,22 @@ def test_cor33_computes_each_matching_number_once(monkeypatch):
     assert verify("cor33", n=6).passed
     assert len(calls) == 112
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("target", ["lem26", "cor27"])
+def test_preserves_matching_runs_one_dp_per_graph(monkeypatch, target):
+    """The builders' check reads the host's β from the shared cache, so the
+    subset DP runs only on the built subgraph, once per checked graph."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return matching._bitmask_matching(g)
+
+    monkeypatch.setattr(verification, "_bitmask_matching", counted)
+    report = verify(target, n=6)
+    assert report.passed
+    assert len(calls) == report.checked
 
 
 def test_lem23_diameter_classes():
