@@ -382,12 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run one verification target")
     p_ver.add_argument("target", choices=TARGETS)
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--count", type=int, default=None)
-    p_ver.add_argument("--d", type=int, default=None)
-    p_ver.add_argument("--n-min", type=int, default=None, dest="n_min")
-    p_ver.add_argument("--n-max", type=int, default=None, dest="n_max")
+    for name in _VERIFY_PARAM_FLAGS:
+        p_ver.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
     p_ver.add_argument("--output", choices=("json", "csv"), default="json")
     p_ver.set_defaults(handler=_cmd_verify)
 
@@ -408,10 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GraphError as exc:
+    except (_CliError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

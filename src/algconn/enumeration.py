@@ -29,8 +29,8 @@ import numpy as np
 from .errors import EmptyClassWarning, TooLarge, TooSmall
 from .graph import (
     Graph,
-    _bit_position_table,
     _min_code,
+    _pair_index,
     _tree_code,
     _unpack_code,
     is_connected,
@@ -175,14 +175,17 @@ def _orbit_minima(n: int) -> list[int]:
     ``alive[mask]`` marks the edge masks not yet reached.  Every smaller mask
     is dead by the time the scan stops, so the smallest alive mask is its
     class's minimum; its whole relabeling orbit is then deleted at once.
+    ``position[u, v]`` is the bit of pair ``{u, v}`` in the packed code
+    (:func:`algconn.graph._pair_index` counted from the top bit), and
     ``weights[b, r]`` is the weight that bit ``b`` moves to under ``perms[r]``;
     a relabeling maps distinct edges to distinct edges, so the weights of a
     code's set bits never overlap and their column sums are the orbit.
     """
     pair_count = n * (n - 1) // 2
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    position = _bit_position_table(n).astype(np.int64)
     i, j = np.triu_indices(n, 1)
+    position = np.zeros((n, n), dtype=np.int64)
+    position[i, j] = position[j, i] = pair_count - 1 - _pair_index(i, j)
     bit = np.argsort(position[i, j])  # the pair behind each bit, lowest first
     weights = np.left_shift(1, position[perms[:, i[bit]], perms[:, j[bit]]].T)
     alive = np.ones(1 << pair_count, dtype=bool)

@@ -3,13 +3,18 @@
 Vertices are the integers ``0..n-1``.  Edges are unordered pairs of distinct
 vertices, stored normalized as ``(u, v)`` with ``u < v``.  Graphs are frozen
 and hashable; equality is labeled equality (same order, same edge set).
+
+One bit layout serves every edge code: the upper-triangle adjacency bits in
+column-major pair order ``(0,1), (0,2), (1,2), (0,3), ...``, first pair
+highest.  :func:`_pack_code` and :func:`_unpack_code` convert it; graph6 is
+that code padded to whole 6-bit groups, and the canonical bits and the
+enumeration codes are the same integer.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,48 +116,32 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _bfs_distances(g: Graph, source: int) -> list[int]:
+    """Edge distance from ``source`` to every vertex, -1 where unreachable."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    order = [source]
+    adj = g.adjacency
+    for v in order:  # breadth-first: the list grows while it is read
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return dist
+
+
 def is_connected(g: Graph) -> bool:
     """True when the graph has a single connected component (vacuously for n <= 1)."""
     if g.n <= 1:
         return True
     if g.m < g.n - 1:
         return False  # too few edges to span; skips building the adjacency
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    adj = g.adjacency
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == g.n
+    return -1 not in _bfs_distances(g, 0)
 
 
 def is_tree(g: Graph) -> bool:
     """True for connected graphs with exactly ``n - 1`` edges."""
     return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
-
-
-def _bfs_eccentricity(g: Graph, source: int) -> int:
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    far = 0
-    adj = g.adjacency
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                far = max(far, dist[w])
-                queue.append(w)
-    if any(d < 0 for d in dist):
-        raise NotConnected("graph is not connected")
-    return far
 
 
 def diameter(g: Graph) -> int:
@@ -164,7 +153,9 @@ def diameter(g: Graph) -> int:
     """
     if g.n < 1:
         raise TooSmall("diameter requires at least one vertex")
-    return max(_bfs_eccentricity(g, v) for v in range(g.n))
+    if not is_connected(g):
+        raise NotConnected("graph is not connected")
+    return max(max(_bfs_distances(g, v)) for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +164,15 @@ def diameter(g: Graph) -> int:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode in short-form graph6 (orders up to 62)."""
+    """Encode in short-form graph6 (orders up to 62): the order, then the
+    packed code with zero padding to whole 6-bit groups, each plus 63."""
     if g.n > GRAPH6_MAX_ORDER:
         raise TooLarge(f"short-form graph6 only covers orders up to {GRAPH6_MAX_ORDER}")
-    edges = g.edges
-    bits: list[int] = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if (i, j) in edges else 0)
-    chars = [chr(g.n + 63)]
-    for start in range(0, len(bits), 6):
-        group = bits[start : start + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return "".join(chars)
+    pair_count = g.n * (g.n - 1) // 2
+    pad = -pair_count % 6
+    code = _pack_code(g) << pad
+    shifts = range(pair_count + pad - 6, -1, -6)
+    return chr(g.n + 63) + "".join(chr((code >> s & 63) + 63) for s in shifts)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -218,20 +201,13 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 string of length {len(values)} does not match order {n}"
         )
-    bits: list[int] = []
+    code = 0
     for v in values[1:]:
-        for shift in range(5, -1, -1):
-            bits.append((v >> shift) & 1)
-    if any(bits[pair_count:]):
+        code = code << 6 | v
+    pad = -pair_count % 6
+    if code & ((1 << pad) - 1):
         raise ParseError("graph6 string has nonzero padding bits")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, frozenset(edges))
+    return _unpack_code(n, code >> pad)
 
 
 # ---------------------------------------------------------------------------
@@ -336,29 +312,18 @@ def _pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-@lru_cache(maxsize=None)
-def _bit_position_table(n: int) -> np.ndarray:
-    """(n, n) table of packed-integer bit positions; entry [i, j] is the bit
-    weight exponent of edge {i, j} so that integer order == bitstring order."""
-    pair_count = n * (n - 1) // 2
-    table = np.zeros((n, n), dtype=np.int8)
-    for j in range(1, n):
-        for i in range(j):
-            pos = pair_count - 1 - _pair_index(i, j)
-            table[i, j] = pos
-            table[j, i] = pos
-    table.flags.writeable = False  # cached: every caller shares this array
-    return table
+def _pack_code(g: Graph) -> int:
+    """The packed code: bit ``pair_count - 1 - _pair_index(u, v)`` per edge,
+    so that integer order is bitstring order."""
+    top = g.n * (g.n - 1) // 2 - 1
+    return sum(1 << (top - _pair_index(u, v)) for u, v in g.edges)
 
 
 def _unpack_code(n: int, code: int) -> Graph:
-    pair_count = n * (n - 1) // 2
-    edges = []
-    for j in range(1, n):
-        for i in range(j):
-            if (code >> (pair_count - 1 - _pair_index(i, j))) & 1:
-                edges.append((i, j))
-    return Graph(n, frozenset(edges))
+    """The graph of order ``n`` whose packed code is ``code``."""
+    bits = format(code, f"0{n * (n - 1) // 2}b")
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph(n, frozenset(pair for pair, bit in zip(pairs, bits) if bit == "1"))
 
 
 def _min_code(g: Graph) -> int:

@@ -401,15 +401,21 @@ def _broom(k: int, l: int, d: int) -> Graph:
     return double_broom(BroomParams(k, l, d))
 
 
+def _grid(spec: dict, *axes: str):
+    """Every point of the inclusive ``{axis: [lo, hi]}`` grid ``spec``, as
+    tuples in ``axes`` order with the last axis varying fastest."""
+    return itertools.product(*(range(spec[a][0], spec[a][1] + 1) for a in axes))
+
+
 def _verify_lem24() -> VerificationReport:
     """Strict broom inequalities that trade one end leaf for one more path
     vertex, keeping the order fixed: α(T(k,l,d)) > α(T(k−1,l,d+1)) for k ≥ 2,
     and the mirrored α(T(k,l,d)) > α(T(k,l−1,d+1)) for l ≥ 2."""
 
     def pairs():
-        for k, l, d in itertools.product(range(2, 6), range(0, 6), range(2, 8)):
+        for k, l, d in _grid(_LEM24_GRID, "k", "l", "d"):
             yield _broom(k, l, d), _broom(k - 1, l, d + 1)
-        for l, k, d in itertools.product(range(2, 6), range(0, 6), range(2, 8)):
+        for l, k, d in _grid(_LEM24_MIRROR_GRID, "l", "k", "d"):
             yield _broom(k, l, d), _broom(k, l - 1, d + 1)
 
     params = {
@@ -427,7 +433,7 @@ def _verify_lem24alt() -> VerificationReport:
     reading (see lem24)."""
     pairs = (
         (_broom(k, l, d), _broom(k, l + 1, d + 1))
-        for l, k, d in itertools.product(range(2, 6), range(0, 6), range(2, 8))
+        for l, k, d in _grid(_LEM24_MIRROR_GRID, "l", "k", "d")
     )
     params = {"grid": _LEM24_MIRROR_GRID, "reading": "T(k,l+1,d+1)"}
     return _margins("lem24alt", params, pairs)
@@ -510,15 +516,11 @@ def _verify_lem34(
         raise Infeasible("grid must satisfy k,l >= 1 and dm1 >= 2")
     if k_max < k_min or l_max < l_min or dm1_max < dm1_min:
         raise Infeasible("empty grid")
-    grid = itertools.product(
-        range(k_min, k_max + 1), range(l_min, l_max + 1), range(dm1_min, dm1_max + 1)
+    params = {"k": [k_min, k_max], "l": [l_min, l_max], "dm1": [dm1_min, dm1_max]}
+    bounded = (
+        (_broom(k, l, dm1), kirkland_bound(k, l, dm1))
+        for k, l, dm1 in _grid(params, "k", "l", "dm1")
     )
-    bounded = ((_broom(k, l, dm1), kirkland_bound(k, l, dm1)) for k, l, dm1 in grid)
-    params = {
-        "k": [k_min, k_max],
-        "l": [l_min, l_max],
-        "dm1": [dm1_min, dm1_max],
-    }
     return _min_slack("lem34", params, bounded)
 
 

@@ -1,5 +1,6 @@
 """Core graph type, text formats, and canonical forms."""
 
+import hashlib
 import itertools
 import random
 
@@ -133,6 +134,8 @@ def test_graph6_rejects_bad_input():
         parse_graph6("Bwww")  # too many payload bytes
     with pytest.raises(ParseError):
         parse_graph6("B")  # too few
+    with pytest.raises(ParseError):
+        parse_graph6("~?@?")  # long-form marker
     with pytest.raises(TooLarge):
         encode_graph6(Graph(63, frozenset()))
 
@@ -144,6 +147,43 @@ def test_graph6_rejects_nonzero_padding():
     with pytest.raises(ParseError):
         parse_graph6("A`")  # K2 is "A_"; one padding bit set
     assert parse_graph6("Bw") == complete_graph(3)
+
+
+def _seeded_graph6_lines():
+    """Three seeded random graphs (edge densities 0.2 / 0.5 / 0.8) of every
+    short-form order 0-62, with their graph6 lines."""
+    rng = random.Random(62)
+    graphs = [random_graph(n, p, rng) for n in range(63) for p in (0.2, 0.5, 0.8)]
+    return graphs, [encode_graph6(g) for g in graphs]
+
+
+#: sha256 of the newline-terminated graph6 lines of ``_seeded_graph6_lines``,
+#: recorded when encode and parse each had their own bit loop, so that a
+#: codec bug shared by both directions still fails this pin.
+SEEDED_GRAPH6_SHA256 = "08079a62af4c1aec898b76b66927bf28007cd919adb6dd50f7e5c428b3b5ae0f"
+
+
+def test_graph6_bytes_are_pinned():
+    graphs, lines = _seeded_graph6_lines()
+    text = "".join(line + "\n" for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_GRAPH6_SHA256
+    for g, line in zip(graphs, lines):
+        assert parse_graph6(line) == g, line
+
+
+def test_graph6_rejects_every_padding_bit():
+    """Each order with padding, each padding bit set alone.  The pair count
+    n(n-1)/2 is 0, 1, 3 or 4 mod 6, so the padding is 0, 5, 3 or 2 bits."""
+    widths = set()
+    for n in range(2, 63):
+        pad = -(n * (n - 1) // 2) % 6
+        widths.add(pad)
+        text = encode_graph6(complete_graph(n))
+        assert (ord(text[-1]) - 63) & ((1 << pad) - 1) == 0
+        for bit in range(pad):
+            with pytest.raises(ParseError):
+                parse_graph6(text[:-1] + chr(ord(text[-1]) + (1 << bit)))
+    assert widths == {0, 2, 3, 5}
 
 
 def test_edge_list_round_trip(zoo):
