@@ -19,10 +19,11 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .enumeration import all_connected_graphs, all_trees, with_cover, with_matching
-from .errors import GraphError
+from .errors import EmptyClassWarning, GraphError
 from .families import BroomParams, balanced_broom, double_broom, extremal_tree
 from .graph import (
     Graph,
@@ -260,10 +261,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.beta is not None and args.gamma is not None:
         raise _CliError("give at most one of --beta / --gamma")
     stream = all_trees(args.n) if args.kind == "trees" else all_connected_graphs(args.n)
-    if args.beta is not None:
-        stream = with_matching(stream, args.beta)
-    if args.gamma is not None:
-        stream = with_cover(stream, args.gamma)
+    # one line per empty class, without the source location warnings.warn adds
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EmptyClassWarning)
+        if args.beta is not None:
+            stream = with_matching(stream, args.beta)
+        if args.gamma is not None:
+            stream = with_cover(stream, args.gamma)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     if args.output == "graph6":
         for g in stream:
             print(encode_graph6(g))

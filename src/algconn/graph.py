@@ -9,6 +9,10 @@ column-major pair order ``(0,1), (0,2), (1,2), (0,3), ...``, first pair
 highest.  :func:`_pack_code` and :func:`_unpack_code` convert it; graph6 is
 that code padded to whole 6-bit groups, and the canonical bits and the
 enumeration codes are the same integer.
+
+One breadth-first walk, :func:`_bfs_tree`, serves connectivity, the
+diameter, the tree centres and the centred tree code here, and the tree
+matching and both Fiedler checks elsewhere.
 """
 
 from __future__ import annotations
@@ -116,18 +120,29 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_distances(g: Graph, source: int) -> list[int]:
-    """Edge distance from ``source`` to every vertex, -1 where unreachable."""
-    dist = [-1] * g.n
-    dist[source] = 0
+def _bfs_tree(g: Graph, source: int, blocked: int = -1) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``source``, never entering ``blocked``, and
+    each vertex's parent: ``blocked`` for the source, -2 where unreached."""
+    parent = [-2] * g.n
+    parent[source] = blocked
     order = [source]
     adj = g.adjacency
-    for v in order:  # breadth-first: the list grows while it is read
+    for v in order:  # the list grows while it is read
         for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
+            if parent[w] == -2 and w != blocked:
+                parent[w] = v
                 order.append(w)
-    return dist
+    return order, parent
+
+
+def _longest_path(g: Graph, source: int) -> list[int]:
+    """A shortest path from the vertex the walk from ``source`` reaches last
+    back to ``source``: one of the vertices farthest from it."""
+    order, parent = _bfs_tree(g, source)
+    path = [order[-1]]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    return path
 
 
 def is_connected(g: Graph) -> bool:
@@ -136,7 +151,7 @@ def is_connected(g: Graph) -> bool:
         return True
     if g.m < g.n - 1:
         return False  # too few edges to span; skips building the adjacency
-    return -1 not in _bfs_distances(g, 0)
+    return len(_bfs_tree(g, 0)[0]) == g.n
 
 
 def is_tree(g: Graph) -> bool:
@@ -155,7 +170,7 @@ def diameter(g: Graph) -> int:
         raise TooSmall("diameter requires at least one vertex")
     if not is_connected(g):
         raise NotConnected("graph is not connected")
-    return max(max(_bfs_distances(g, v)) for v in range(g.n))
+    return max(len(_longest_path(g, v)) for v in range(g.n)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,41 +373,18 @@ def _min_code(g: Graph) -> int:
 
 
 def _tree_centers(g: Graph) -> list[int]:
-    if g.n == 1:
-        return [0]
-    deg = [g.degree(v) for v in range(g.n)]
-    layer = [v for v in range(g.n) if deg[v] <= 1]
-    remaining = g.n
-    adj = g.adjacency
-    removed = bytearray(g.n)
-    while remaining > 2:
-        nxt = []
-        for leaf in layer:
-            removed[leaf] = 1
-            remaining -= 1
-            for w in adj[leaf]:
-                if not removed[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
+    """The middle one or two vertices of a longest path of the tree."""
+    path = _longest_path(g, _longest_path(g, 0)[0])
+    return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
 def _rooted_code(g: Graph, root: int, blocked: int) -> str:
     """Sorted-subtree code of the tree rooted at ``root``, never crossing ``blocked``."""
-    adj = g.adjacency
-    parent = {root: blocked}  # in a tree only the root can neighbour ``blocked``
-    order = [root]
-    for v in order:  # breadth-first and bottom-up: deep trees need no recursion
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    code: dict[int, str] = {}
-    for v in reversed(order):
-        code[v] = "(" + "".join(sorted(code[w] for w in adj[v] if w != parent[v])) + ")"
-    return code[root]
+    order, parent = _bfs_tree(g, root, blocked)
+    below: list[list[str]] = [[] for _ in range(g.n)]
+    for v in reversed(order[1:]):  # bottom-up: deep trees need no recursion
+        below[parent[v]].append("(" + "".join(sorted(below[v])) + ")")
+    return "(" + "".join(sorted(below[root])) + ")"
 
 
 def _tree_code(g: Graph) -> str:

@@ -4,6 +4,10 @@ The spanning tree keeps one maximum matching: a single Kruskal pass takes the
 matching edges first and then the other edges in descending order, which
 builds the same tree as deleting the smallest non-matching edge of a cycle
 until none is left.
+
+Trees take the greedy matching over the breadth-first walk of
+:func:`algconn.graph._bfs_tree`, the one walk the graph, matching and
+spectral modules share; other graphs take the subset DP.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IsolatedVertex, NoCycle, NotConnected, TooLarge
-from .graph import Graph, is_connected, is_tree
+from .graph import Graph, _bfs_tree, is_connected, is_tree
 
 #: Subset-DP matching works on any graph up to this order.  The DP solves
 #: only the vertex subsets reachable from the full set; K_n has the most of
@@ -94,39 +98,24 @@ def _bitmask_matching(g: Graph) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _tree_matching(g: Graph) -> tuple[int, list[tuple[int, int]]]:
-    """Maximum matching of a tree by the leaf-upward greedy rule."""
-    n = g.n
-    if n == 0:
-        return 0, []
-    adj = g.adjacency
-    parent = [-1] * n
-    order: list[int] = []
-    stack = [0]
-    seen = bytearray(n)
-    seen[0] = 1
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in sorted(adj[v], reverse=True):
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = v
-                stack.append(w)
-    matched = bytearray(n)
-    edges: list[tuple[int, int]] = []
-    for v in reversed(order):
+    """Maximum matching of a tree by the leaf-upward greedy rule: a vertex
+    its subtree leaves unmatched is matched to its parent, and a parent with
+    several such children takes the largest."""
+    order, parent = _bfs_tree(g, 0)
+    taken = [-1] * g.n  # the child each vertex is matched to
+    for v in reversed(order):  # every child before its parent
         p = parent[v]
-        if p >= 0 and not matched[v] and not matched[p]:
-            matched[v] = matched[p] = 1
-            edges.append((v, p) if v < p else (p, v))
+        if taken[v] < 0 and p >= 0 and v > taken[p]:
+            taken[p] = v
+    edges = [(v, p) if v < p else (p, v) for p, v in enumerate(taken) if v >= 0]
     return len(edges), edges
 
 
 def maximum_matching(g: Graph) -> Matching:
     """A maximum matching witness.
 
-    Trees of any order use the linear greedy algorithm (deterministic via the
-    rooted traversal order); other graphs use the subset DP, whose witness is
+    Trees of any order use the linear greedy algorithm, whose witness does
+    not depend on the walk order; other graphs use the subset DP, whose witness is
     the lexicographically smallest maximum matching.
 
     Raises:

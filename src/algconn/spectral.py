@@ -22,7 +22,7 @@ from .errors import (
     TooSmall,
     ZeroVector,
 )
-from .graph import Graph, is_connected, is_tree
+from .graph import Graph, _bfs_tree, is_connected, is_tree
 
 #: Entrywise asymmetry beyond this is rejected.
 SYMMETRY_TOL = 1e-12
@@ -195,23 +195,17 @@ def rayleigh_quotient(g: Graph, x) -> float:
     return num / denom
 
 
-def _check_strict_paths(
-    t: Graph, vals: np.ndarray, start: int, forbidden: int, increasing: bool
-) -> None:
-    adj = t.adjacency
-    stack = [(w, start, vals[start]) for w in adj[start] if w != forbidden]
-    while stack:
-        v, parent, prev = stack.pop()
-        val = vals[v]
-        ok = val > prev if increasing else val < prev
-        if not ok:
-            direction = "increase" if increasing else "decrease"
+def _check_away(t: Graph, vals: np.ndarray, root: int, skip: int) -> None:
+    """Every step of the walk from ``root`` (never entering ``skip``) that
+    leaves a nonzero value moves strictly farther from zero on its side."""
+    order, parent = _bfs_tree(t, root, skip)
+    for v in order[1:]:
+        prev = vals[parent[v]]
+        if prev != 0.0 and not (vals[v] > prev > 0.0 or vals[v] < prev < 0.0):
+            direction = "increase" if prev > 0.0 else "decrease"
             raise ClassificationInconsistent(
                 f"values fail to strictly {direction} at vertex {v}"
             )
-        for w in adj[v]:
-            if w != parent:
-                stack.append((w, v, val))
 
 
 def classify_fiedler(t: Graph, data: FiedlerData) -> FiedlerClass:
@@ -223,7 +217,11 @@ def classify_fiedler(t: Graph, data: FiedlerData) -> FiedlerClass:
     values along every path leaving it must be strictly monotone or all zero.
     Otherwise exactly one edge joins oppositely signed vertices (the
     characteristic edge) and values strictly increase away from its positive
-    end and strictly decrease away from its negative end.
+    end and strictly decrease away from its negative end.  Both monotonicity
+    checks read the breadth-first walk of :func:`algconn.graph._bfs_tree`,
+    from the characteristic vertex or from each end of the edge.  Every zero
+    component has a boundary vertex of its own, so a single boundary vertex
+    already makes the zero set connected.
 
     Raises:
         NotATree: when ``t`` is not a tree.
@@ -245,33 +243,15 @@ def classify_fiedler(t: Graph, data: FiedlerData) -> FiedlerClass:
     zero_set = frozenset(int(v) for v in np.flatnonzero(vals == 0.0))
 
     if zero_set:
-        # induced connectivity of the zero set
-        start = min(zero_set)
-        seen = {start}
-        frontier = [start]
-        adj = t.adjacency
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w in zero_set and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if seen != zero_set:
-            raise ClassificationInconsistent(
-                "zero set does not induce a connected subtree"
-            )
         boundary = sorted(
-            v for v in zero_set if any(w not in zero_set for w in adj[v])
+            v for v in zero_set if any(w not in zero_set for w in t.adjacency[v])
         )
         if len(boundary) != 1:
             raise ClassificationInconsistent(
                 f"expected one zero vertex with nonzero neighbors, found {len(boundary)}"
             )
         z = boundary[0]
-        # paths through a zero neighbour stay zero: z is the only boundary vertex
-        for w in sorted(adj[z]):
-            if vals[w] != 0.0:
-                _check_strict_paths(t, vals, w, z, increasing=vals[w] > 0.0)
+        _check_away(t, vals, z, -1)
         return FiedlerClass(
             kind="I", characteristic_vertex=z, zero_set=zero_set
         )
@@ -283,6 +263,6 @@ def classify_fiedler(t: Graph, data: FiedlerData) -> FiedlerClass:
         )
     u, v = sign_edges[0]
     p, q = (u, v) if vals[u] > 0.0 else (v, u)
-    _check_strict_paths(t, vals, p, q, increasing=True)
-    _check_strict_paths(t, vals, q, p, increasing=False)
+    _check_away(t, vals, p, q)
+    _check_away(t, vals, q, p)
     return FiedlerClass(kind="II", characteristic_edge=(p, q))

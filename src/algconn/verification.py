@@ -45,7 +45,6 @@ from .errors import (
 from .families import (
     BroomParams,
     balanced_broom,
-    branch_vertex_map,
     double_broom,
     extremal_tree,
     relocate_branch,
@@ -104,16 +103,15 @@ def bound_cover(n: int, gamma: int) -> float:
     """Lower bound on α over connected graphs of order ``n`` with edge cover
     number ``gamma``: 8 / (−4γ² + 4γ(n−2) + 6n + 5).
 
-    Identical (exactly, not just within rounding) to
-    ``bound_matching(n, n - gamma)`` — both denominators are computed in
-    integer arithmetic and agree under the substitution.
+    Computed as ``bound_matching(n, n - gamma)``: the two integer
+    denominators agree under the substitution, so the values are identical.
 
     Raises:
         Infeasible: unless ``ceil(n/2) <= gamma <= n - 1``.
     """
     if n < 2 or 2 * gamma < n or gamma > n - 1:
         raise Infeasible(f"no connected graph of order {n} has edge cover number {gamma}")
-    return 8.0 / float(-4 * gamma * gamma + 4 * gamma * (n - 2) + 6 * n + 5)
+    return bound_matching(n, n - gamma)
 
 
 def kirkland_bound(k: int, l: int, dm1: int) -> float:
@@ -494,11 +492,12 @@ def _verify_bound35(n: int) -> VerificationReport:
 
 
 def _verify_bound36(n: int) -> VerificationReport:
-    """α(G) ≥ bound_cover(n, γ(G)) − tol for every connected graph of order n."""
+    """α(G) ≥ bound_cover(n, γ(G)) − tol for every connected graph of order n,
+    with γ(G) = n − β(G) by Gallai's identity."""
     if n < 2:
         raise TooSmall("bound applies from order 2")
     bounded = (
-        (g, bound_cover(n, edge_cover_number(g))) for g in all_connected_graphs(n)
+        (g, bound_cover(n, n - _beta_of(g))) for g in all_connected_graphs(n)
     )
     return _min_slack("bound36", {"n": n}, bounded)
 
@@ -667,9 +666,8 @@ def _qualifying_fiedler(
 
 
 def _equality_conditions_hold(
-    g1: Graph,
-    g2: Graph,
-    u: int,
+    g: Graph,
+    host_order: int,
     v1: int,
     v2: int,
     g_star: Graph,
@@ -678,12 +676,11 @@ def _equality_conditions_hold(
 ) -> bool:
     """Equality case of the relocation claim: both attachment values vanish,
     the branch-side neighbor sum vanishes, and the same vector is (within
-    tolerance) an α-eigenvector of the relocated graph."""
+    tolerance) an α-eigenvector of the relocated graph.  The branch side of
+    ``v2`` in ``g`` is its neighbours numbered from ``host_order`` on."""
     if abs(float(x[v1])) > EQUALITY_COND_TOL or abs(float(x[v2])) > EQUALITY_COND_TOL:
         return False
-    mapping = branch_vertex_map(g1.n, g2, u)
-    mapping[u] = v2
-    neighbor_sum = sum(float(x[mapping[w]]) for w in g2.adjacency[u])
+    neighbor_sum = sum(float(x[w]) for w in g.adjacency[v2] if w >= host_order)
     if abs(neighbor_sum) > EQUALITY_COND_TOL:
         return False
     residual = laplacian(g_star) @ x - alpha * x
@@ -735,7 +732,7 @@ def _verify_lem22(seed: int = 0, count: int = 1000) -> VerificationReport:
         bad = alpha_star > alpha_g + GAP_TOL
         if not bad and abs(alpha_star - alpha_g) <= EQUALITY_WINDOW:
             bad = not _equality_conditions_hold(
-                g1, g2, u, v1, v2, g_star, x, alpha_g
+                g, g1.n, v1, v2, g_star, x, alpha_g
             )
         if bad:
             passed = False

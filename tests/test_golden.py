@@ -222,6 +222,8 @@ CLI_RUNS = (
             ("trees", "9", []),
             ("trees", "9", ["--beta", "3"]),
             ("trees", "9", ["--gamma", "6"]),
+            ("trees", "9", ["--gamma", "4"]),
+            ("trees", "9", ["--beta", "5"]),
             ("connected", "6", []),
             ("connected", "6", ["--beta", "3"]),
             ("connected", "6", ["--gamma", "4"]),

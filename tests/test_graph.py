@@ -29,8 +29,15 @@ from algconn import (
     relabel,
     star_graph,
 )
-from algconn.enumeration import all_connected_graphs
-from algconn.graph import CANONICAL_CEILING, _min_code
+from algconn.enumeration import all_connected_graphs, all_trees
+from algconn.graph import (
+    CANONICAL_CEILING,
+    GRAPH6_MAX_ORDER,
+    _min_code,
+    _tree_centers,
+    _tree_code,
+)
+from algconn.matching import maximum_matching
 from conftest import brute_canonical_code, brute_is_isomorphic, brute_min_packed_code
 
 
@@ -293,3 +300,50 @@ def test_brute_code_consistency():
     g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     code = brute_canonical_code(g)
     assert brute_canonical_code(relabel(g, [4, 2, 3, 0, 1])) == code
+
+
+def _walk_trees():
+    """Every tree of order 1-9, three seeded random recursive trees of each
+    order 2-299, and the path of order 3 000."""
+    rng = random.Random(11)
+    trees = [t for n in range(1, 10) for t in all_trees(n)]
+    trees += [
+        Graph(n, frozenset((rng.randrange(v), v) for v in range(1, n)))
+        for n in range(2, 300)
+        for _ in range(3)
+    ]
+    return trees + [path_graph(3000)]
+
+
+#: sha256 of one line per tree of ``_walk_trees``: the tree (graph6, or its
+#: edge list above the graph6 orders), its centred code, its centres, its
+#: maximum matching and its diameter.  Recorded before the tree walks shared
+#: one breadth-first search.
+TREE_WALKS_SHA256 = "5c505b770dfabc5aad5f6a5f42f399f62cda97c73773d87bd7b9ba30385707ba"
+
+#: sha256 of ``diameter`` and ``is_connected`` over every connected graph of
+#: order at most 7, recorded at the same time.
+CONNECTED_WALKS_SHA256 = "ff9aea00d7a7a988a210b79a8bbb1ae16135f3a2b1469c63c6b8f428c6df62b2"
+
+
+def test_tree_walk_outputs_pinned():
+    trees = _walk_trees()
+    assert len(trees) == 95 + 894 + 1
+    lines = "".join(
+        repr(
+            (
+                encode_graph6(t) if t.n <= GRAPH6_MAX_ORDER else format_edge_list(t),
+                _tree_code(t),
+                _tree_centers(t),
+                maximum_matching(t).sorted_edges(),
+                diameter(t),
+            )
+        )
+        + "\n"
+        for t in trees
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == TREE_WALKS_SHA256
+    graphs = [g for n in range(1, 8) for g in all_connected_graphs(n)]
+    assert len(graphs) == 996
+    lines = "".join(f"{diameter(g)} {is_connected(g)}\n" for g in graphs)
+    assert hashlib.sha256(lines.encode()).hexdigest() == CONNECTED_WALKS_SHA256

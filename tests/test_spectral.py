@@ -1,5 +1,7 @@
 """Eigensolver, algebraic connectivity, and Fiedler-vector classification."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +32,7 @@ from algconn import (
     rayleigh_quotient,
     star_graph,
 )
+from algconn.enumeration import all_trees
 from algconn.graph import GRAPH6_MAX_ORDER
 from algconn.spectral import DENSE_CEILING
 
@@ -279,3 +282,31 @@ def test_classify_hand_built_type_one():
     assert cls.kind == "I"
     assert cls.characteristic_vertex == 2
     assert cls.zero_set == frozenset({2})
+
+
+#: sha256 of ``classify_fiedler``'s outcome on every vector with entries in
+#: {-2, -1, 0, 1, 2} on every tree of order 2-6, recorded before the zero-set
+#: flood fill and the path walker were folded into one breadth-first pass.
+CLASSIFIER_OUTCOMES_SHA256 = "c9a93ab253926a832ff34e007f653f6e39de48fe32269467b15fc0b25222bcef"
+
+
+def test_classifier_outcomes_pinned():
+    lines = []
+    accepted = 0
+    for n in range(2, 7):
+        for t in all_trees(n):
+            for values in itertools.product((-2, -1, 0, 1, 2), repeat=n):
+                data = FiedlerData(0.0, np.array(values, float), 1)
+                try:
+                    cls = classify_fiedler(t, data)
+                except ClassificationInconsistent:
+                    lines.append("rejected")
+                    continue
+                accepted += 1
+                lines.append(
+                    f"{cls.kind} {cls.characteristic_vertex} "
+                    f"{sorted(cls.zero_set)} {cls.characteristic_edge}"
+                )
+    assert (accepted, len(lines) - accepted) == (4772, 99753)
+    text = "".join(line + "\n" for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFIER_OUTCOMES_SHA256

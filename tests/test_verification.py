@@ -22,6 +22,7 @@ from algconn import (
     verify,
 )
 from algconn import enumeration, matching, verification
+from algconn.families import branch_vertex_map, coalescence
 from algconn.verification import GAP_TOL, TARGETS
 
 
@@ -45,6 +46,9 @@ def test_bound_cover_identity_bit_exact():
         for beta in range(1, n // 2 + 1):
             gamma = n - beta
             assert bound_cover(n, gamma) == bound_matching(n, beta)
+            # the paper's own form of the bound, in the edge cover number
+            denom = -4 * gamma * gamma + 4 * gamma * (n - 2) + 6 * n + 5
+            assert bound_cover(n, gamma) == 8 / denom
 
 
 def test_bound_rejects_infeasible():
@@ -298,3 +302,16 @@ def test_witness_alphas_recompute():
     for wit in data["witnesses"]:
         g = parse_graph6(wit["graph6"])
         assert abs(algebraic_connectivity(g) - wit["alpha"]) <= 1e-9
+
+
+def test_branch_side_of_v2_is_the_branch_around_u():
+    """lem22's equality check reads the branch neighbours of ``u`` as the
+    neighbours of ``v2`` numbered from the host order on."""
+    for g1 in verification._relocation_hosts():
+        for g2 in verification._relocation_branches():
+            for u in range(g2.n):
+                mapping = branch_vertex_map(g1.n, g2, u)
+                around_u = {mapping[w] for w in g2.adjacency[u]}
+                for v2 in range(g1.n):
+                    g = coalescence(g1, v2, g2, u)
+                    assert {w for w in g.adjacency[v2] if w >= g1.n} == around_u
