@@ -170,6 +170,8 @@ def diameter(g: Graph) -> int:
         raise TooSmall("diameter requires at least one vertex")
     if not is_connected(g):
         raise NotConnected("graph is not connected")
+    if g.m == g.n - 1:  # a tree: a vertex farthest from any vertex ends a longest path
+        return len(_longest_path(g, _longest_path(g, 0)[0])) - 1
     return max(len(_longest_path(g, v)) for v in range(g.n)) - 1
 
 

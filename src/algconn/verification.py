@@ -12,7 +12,9 @@ it to one of four scan primitives, which builds the report:
 ``_unique_minimizers`` (graph classes and their expected minimizer),
 ``_margins`` (pairs that must satisfy α(big) > α(small)), ``_min_slack``
 (graphs with a lower bound on α) and ``_holds_for_all`` (graphs and a
-predicate).
+predicate).  ``lem22`` reads both graphs of each draw from a cached table
+of at most 2 314 glued spectra (``_glued_spectrum``): every relocation pair
+glues one of 13 rooted branches onto one of 178 host vertices.
 
 Tolerances: a strict claim "A < B" passes iff ``B - A > GAP_TOL``; a
 uniqueness claim passes iff the runner-up exceeds the minimizer by more than
@@ -45,9 +47,9 @@ from .errors import (
 from .families import (
     BroomParams,
     balanced_broom,
+    coalescence,
     double_broom,
     extremal_tree,
-    relocate_branch,
 )
 from .graph import Graph, diameter, encode_graph6, is_connected, is_isomorphic
 from .matching import (
@@ -378,9 +380,9 @@ def _verify_lem23(n: int, d: int | None = None) -> VerificationReport:
     if d is not None and not 1 <= d <= n - 2:
         raise Infeasible(f"order {n} admits no diameter-{d + 1} tree class")
     ds = [d] if d is not None else list(range(1, n - 1))
-    trees = list(all_trees(n))
+    trees = [(t, diameter(t)) for t in all_trees(n)]
     classes = [
-        ([t for t in trees if diameter(t) == dv + 1], balanced_broom(n, dv))
+        ([t for t, dt in trees if dt == dv + 1], balanced_broom(n, dv))
         for dv in ds
     ]
     return _unique_minimizers("lem23", {"n": n, "d": d}, classes)
@@ -646,6 +648,19 @@ def _relocation_branches() -> tuple[Graph, ...]:
     return tuple(branches)
 
 
+@lru_cache(maxsize=None)
+def _glued_spectrum(h: int, v: int, b: int, u: int) -> Spectrum:
+    """Laplacian spectrum of relocation branch ``b`` glued at its vertex
+    ``u`` onto vertex ``v`` of relocation host ``h``.  Every relocation pair
+    is two such graphs, and the key space is finite (2 314 keys), so the
+    cache is bounded by it.  The arrays are read-only: draws share them."""
+    g = coalescence(_relocation_hosts()[h], v, _relocation_branches()[b], u)
+    spectrum = eigen_symmetric(laplacian(g))
+    spectrum.values.flags.writeable = False
+    spectrum.vectors.flags.writeable = False
+    return spectrum
+
+
 def _qualifying_fiedler(
     spectrum: Spectrum, v1: int, v2: int, branch_vertices: Sequence[int]
 ) -> np.ndarray | None:
@@ -694,7 +709,10 @@ def _verify_lem22(seed: int = 0, count: int = 1000) -> VerificationReport:
 
     ``count`` is the number of hypothesis-satisfying instances required;
     draws whose Fiedler data never satisfies the hypothesis are skipped and
-    tallied separately.
+    tallied separately.  Both graphs of a draw are read from the table of
+    glued spectra (:func:`_glued_spectrum`, at most 2 314 entries); the
+    graphs themselves are built only in the equality window or for a
+    witness.
     """
     if count < 1:
         raise Infeasible("count must be positive")
@@ -710,30 +728,31 @@ def _verify_lem22(seed: int = 0, count: int = 1000) -> VerificationReport:
     draws = 0
     while checked < count and draws < max_draws:
         draws += 1
-        g1 = hosts[rng.randrange(len(hosts))]
-        g2 = branches[rng.randrange(len(branches))]
+        h = rng.randrange(len(hosts))
+        b = rng.randrange(len(branches))
+        g1, g2 = hosts[h], branches[b]
         v1 = rng.randrange(g1.n)
         v2 = rng.randrange(g1.n - 1)
         if v2 >= v1:
             v2 += 1
         u = rng.randrange(g2.n)
-        g, g_star = relocate_branch(g1, v1, v2, g2, u)
-        spectrum = eigen_symmetric(laplacian(g))
-        branch_vertices = (v2, *range(g1.n, g.n))
+        spectrum = _glued_spectrum(h, v2, b, u)
+        branch_vertices = (v2, *range(g1.n, g1.n + g2.n - 1))
         x = _qualifying_fiedler(spectrum, v1, v2, branch_vertices)
         if x is None:
             skipped += 1
             continue
         checked += 1
         alpha_g = float(spectrum.values[1])
-        alpha_star = algebraic_connectivity(g_star)
+        alpha_star = float(_glued_spectrum(h, v1, b, u).values[1])
         margin = alpha_g - alpha_star
         min_gap = margin if min_gap is None else min(min_gap, margin)
         bad = alpha_star > alpha_g + GAP_TOL
-        if not bad and abs(alpha_star - alpha_g) <= EQUALITY_WINDOW:
-            bad = not _equality_conditions_hold(
-                g, g1.n, v1, v2, g_star, x, alpha_g
-            )
+        if not bad and abs(alpha_star - alpha_g) > EQUALITY_WINDOW:
+            continue
+        g, g_star = coalescence(g1, v2, g2, u), coalescence(g1, v1, g2, u)
+        if not bad:
+            bad = not _equality_conditions_hold(g, g1.n, v1, v2, g_star, x, alpha_g)
         if bad:
             passed = False
             witnesses.append(WitnessRecord(encode_graph6(g), alpha_g, _beta_of(g)))

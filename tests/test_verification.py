@@ -1,8 +1,10 @@
 """Closed-form bounds, verification reports, and the target runners."""
 
+import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from algconn import (
@@ -22,7 +24,9 @@ from algconn import (
     verify,
 )
 from algconn import enumeration, matching, verification
-from algconn.families import branch_vertex_map, coalescence
+from algconn.families import branch_vertex_map, coalescence, relocate_branch
+from algconn.graph import is_connected
+from algconn.spectral import eigen_symmetric, laplacian
 from algconn.verification import GAP_TOL, TARGETS
 
 
@@ -295,6 +299,49 @@ def test_lem22_sampling():
     assert data["checked"] == 50
     assert data["skipped"] >= 0
     assert data["witnesses"] == []
+
+
+#: sha256 of ``verify("lem22", seed=s, count=c).to_json()`` concatenated
+#: over seeds 0-9 (outer) and counts 1, 50, 600 (inner), with no separator.
+#: Recorded while every draw still built its own relocation pair.
+LEM22_REPORTS_SHA256 = "4916f057d8a887bedf5aa070ad19014ac2ad8fb9f4f7221c1a253219895d137a"
+
+
+def test_lem22_reports_pinned():
+    text = "".join(
+        verify("lem22", seed=s, count=c).to_json() for s in range(10) for c in (1, 50, 600)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == LEM22_REPORTS_SHA256
+
+
+def test_glued_spectra_match_relocation_pairs():
+    """Every table entry is bit for bit the spectrum of the first graph of
+    the relocation pair that glues the same branch onto the same vertex."""
+    hosts = verification._relocation_hosts()
+    branches = verification._relocation_branches()
+    assert all(is_connected(g) for g in hosts + branches)
+    keys = [
+        (h, v, b, u)
+        for h, g1 in enumerate(hosts)
+        for v in range(g1.n)
+        for b, g2 in enumerate(branches)
+        for u in range(g2.n)
+    ]
+    assert len(keys) == 2314
+    for h, v, b, u in keys:
+        w = (v + 1) % hosts[h].n
+        g = relocate_branch(hosts[h], w, v, branches[b], u)[0]
+        old = eigen_symmetric(laplacian(g))
+        new = verification._glued_spectrum(h, v, b, u)
+        assert np.array_equal(new.values, old.values)
+        assert np.array_equal(new.vectors, old.vectors)
+        assert not new.values.flags.writeable and not new.vectors.flags.writeable
+
+
+def test_glued_spectrum_cache_is_bounded_by_its_keys():
+    verification._glued_spectrum.cache_clear()
+    verify("lem22", seed=1, count=600)
+    assert 0 < verification._glued_spectrum.cache_info().currsize <= 2314
 
 
 def test_witness_alphas_recompute():
