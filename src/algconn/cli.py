@@ -9,7 +9,9 @@ stdout; diagnostics to stderr.
 Exit codes: 0 on success, 1 when a verification target reports failure,
 2 on usage errors, unreadable input, or infeasible parameters.
 
-Floats are printed with 12 significant digits, and identical argv (seeds
+``alpha``, ``invariants`` and ``bounds`` only build one dict per record;
+one writer, :func:`_print_records`, owns their float rounding (12
+significant digits) and their JSON and CSV layout.  Identical argv (seeds
 included) produces byte-identical output.
 """
 
@@ -21,22 +23,27 @@ import os
 import sys
 import warnings
 from pathlib import Path
+from typing import Iterable
 
 from .enumeration import all_connected_graphs, all_trees, with_cover, with_matching
 from .errors import EmptyClassWarning, GraphError
 from .families import BroomParams, balanced_broom, double_broom, extremal_tree
 from .graph import (
     Graph,
-    InvariantSummary,
     diameter,
     encode_graph6,
     is_connected,
-    is_tree,
     parse_edge_list,
     parse_graph6,
 )
 from .matching import matching_number
-from .spectral import algebraic_connectivity, classify_fiedler, fiedler_vector
+from .spectral import (
+    FiedlerClass,
+    FiedlerData,
+    algebraic_connectivity,
+    classify_fiedler,
+    fiedler_vector,
+)
 from .verification import (
     TARGETS,
     _sig12,
@@ -105,38 +112,67 @@ def _load_graphs(args: argparse.Namespace) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# DOT rendering
+# output
 # ---------------------------------------------------------------------------
 
 
-def _graph_to_dot(g: Graph) -> str:
-    """DOT text with Fiedler values on the vertices; for trees the
+def _rounded(value):
+    """``value`` with every float, in lists and dicts too, rounded by
+    :func:`_sig12`."""
+    if isinstance(value, float):
+        return _sig12(value)
+    if isinstance(value, list):
+        return [_rounded(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _rounded(x) for k, x in value.items()}
+    return value
+
+
+def _csv_cell(value) -> str:
+    """``None`` is empty, a float has 12 significant digits, a list is joined
+    by ``;`` and a nested record shows its ``value``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return _sig12_str(value)
+    if isinstance(value, list):
+        return ";".join(_csv_cell(x) for x in value)
+    if isinstance(value, dict):
+        return _csv_cell(value["value"])
+    return str(value)
+
+
+def _print_records(output: str, columns: tuple[str, ...], records: Iterable) -> None:
+    """One JSON line per record, or a CSV header of ``columns`` and one row
+    per record (a missing key is an empty cell).  ``records`` is consumed
+    lazily, so the lines before a failing record are still written."""
+    if output == "csv":
+        print(",".join(columns))
+    for record in records:
+        if output == "json":
+            print(json.dumps(_rounded(record)))
+        else:
+            print(",".join(_csv_cell(record.get(c)) for c in columns))
+
+
+def _graph_to_dot(g: Graph, data: FiedlerData, cls: FiedlerClass) -> str:
+    """DOT text of a tree with its Fiedler values on the vertices; the
     characteristic vertex (doublecircle, zero set filled) or characteristic
-    edge (thick) is highlighted."""
-    data = fiedler_vector(g)
-    cls = classify_fiedler(g, data) if is_tree(g) else None
-    zero_set = cls.zero_set if cls is not None and cls.kind == "I" else frozenset()
-    char_vertex = (
-        cls.characteristic_vertex if cls is not None and cls.kind == "I" else None
-    )
-    char_edge = (
-        frozenset(cls.characteristic_edge)
-        if cls is not None and cls.kind == "II"
-        else None
-    )
+    edge (thick) of ``cls`` is highlighted."""
+    char_edge = set(cls.characteristic_edge or ())
     lines = ["graph G {"]
     lines.append(f'  label="alpha = {_sig12_str(data.alpha)}";')
     lines.append("  node [shape=circle];")
     for v in range(g.n):
         attrs = [f'label="{v}\\n{data.vector[v]:+.4f}"']
-        if v == char_vertex:
+        if v == cls.characteristic_vertex:
             attrs.append("shape=doublecircle")
-        if v in zero_set:
+        if v in cls.zero_set:
             attrs.append("style=filled")
             attrs.append("fillcolor=lightgrey")
         lines.append(f"  {v} [{', '.join(attrs)}];")
     for u, v in g.sorted_edges():
-        if char_edge is not None and frozenset((u, v)) == char_edge:
+        if {u, v} == char_edge:
             lines.append(f"  {u} -- {v} [penwidth=3];")
         else:
             lines.append(f"  {u} -- {v};")
@@ -150,71 +186,32 @@ def _graph_to_dot(g: Graph) -> str:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
-    graphs = _load_graphs(args)
-    if args.output == "csv":
-        print("alpha,multiplicity,vector")
-    for g in graphs:
-        data = fiedler_vector(g)
-        vector = [_sig12(x) for x in data.vector]
-        if args.output == "json":
-            print(
-                json.dumps(
-                    {
-                        "alpha": _sig12(data.alpha),
-                        "multiplicity": data.multiplicity,
-                        "vector": vector,
-                    }
-                )
-            )
-        else:
-            joined = ";".join(_sig12_str(x) for x in data.vector)
-            print(f"{_sig12_str(data.alpha)},{data.multiplicity},{joined}")
+    records = (
+        {"alpha": d.alpha, "multiplicity": d.multiplicity, "vector": d.vector.tolist()}
+        for d in map(fiedler_vector, _load_graphs(args))
+    )
+    _print_records(args.output, ("alpha", "multiplicity", "vector"), records)
     return 0
 
 
-def _summarize(g: Graph) -> InvariantSummary:
+def _summarize(g: Graph) -> dict:
+    """n, m and connectivity, then α (``n >= 2``), β, γ (no isolated vertex)
+    and the diameter (connected), each key present only where defined."""
     connected = is_connected(g)
-    alpha: float | None = None
+    record: dict = {"n": g.n, "m": g.m, "connected": connected}
     if g.n >= 2:
-        alpha = algebraic_connectivity(g) if connected else 0.0
-    beta = matching_number(g)
-    gamma = None
-    if g.n >= 1 and all(g.adjacency[v] for v in range(g.n)):
-        gamma = g.n - beta  # Gallai: the edge cover number
-    diam = diameter(g) if connected and g.n >= 1 else None
-    return InvariantSummary(
-        n=g.n,
-        m=g.m,
-        connected=connected,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        diameter=diam,
-    )
+        record["alpha"] = algebraic_connectivity(g) if connected else 0.0
+    beta = record["beta"] = matching_number(g)
+    if g.n >= 1 and all(g.adjacency):
+        record["gamma"] = g.n - beta  # Gallai: the edge cover number
+    if connected and g.n >= 1:
+        record["diameter"] = diameter(g)
+    return record
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    graphs = _load_graphs(args)
-    if args.output == "csv":
-        print("n,m,connected,alpha,beta,gamma,diameter")
-    for g in graphs:
-        s = _summarize(g)
-        if args.output == "json":
-            payload = s.as_dict()
-            if "alpha" in payload:
-                payload["alpha"] = _sig12(payload["alpha"])
-            print(json.dumps(payload))
-        else:
-            cells = [
-                str(s.n),
-                str(s.m),
-                str(s.connected),
-                "" if s.alpha is None else _sig12_str(s.alpha),
-                str(s.beta),
-                "" if s.gamma is None else str(s.gamma),
-                "" if s.diameter is None else str(s.diameter),
-            ]
-            print(",".join(cells))
+    columns = ("n", "m", "connected", "alpha", "beta", "gamma", "diameter")
+    _print_records(args.output, columns, map(_summarize, _load_graphs(args)))
     return 0
 
 
@@ -230,7 +227,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.output == "json":
         print(json.dumps({"graph6": encode_graph6(g), "n": g.n, "m": g.m}))
     else:
-        sys.stdout.write(_graph_to_dot(g))
+        data = fiedler_vector(g)
+        sys.stdout.write(_graph_to_dot(g, data, classify_fiedler(g, data)))
     return 0
 
 
@@ -253,7 +251,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 }
             print(json.dumps(payload))
         else:
-            sys.stdout.write(_graph_to_dot(g))
+            sys.stdout.write(_graph_to_dot(g, data, cls))
     return 0
 
 
@@ -298,35 +296,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n, beta = args.n, args.beta
     gamma = n - beta
-    payload: dict = {
+    record: dict = {
         "n": n,
         "beta": beta,
         "gamma": gamma,
-        "bound_matching": _sig12(bound_matching(n, beta)),
-        "bound_cover": _sig12(bound_cover(n, gamma)),
+        "bound_matching": bound_matching(n, beta),
+        "bound_cover": bound_cover(n, gamma),
+        "kirkland": None,
     }
     dm1 = 2 * beta - 1
     spare = n - dm1
     k, l = (spare + 1) // 2, spare // 2
     if dm1 >= 2 and k >= 1 and l >= 1:
-        payload["kirkland"] = {
-            "k": k,
-            "l": l,
-            "dm1": dm1,
-            "value": _sig12(kirkland_bound(k, l, dm1)),
-        }
-    else:
-        payload["kirkland"] = None
-    if args.output == "json":
-        print(json.dumps(payload))
-    else:
-        print("n,beta,gamma,bound_matching,bound_cover,kirkland")
-        kirk = payload["kirkland"]
-        cell = "" if kirk is None else _sig12_str(kirk["value"])
-        print(
-            f"{n},{beta},{gamma},{_sig12_str(payload['bound_matching'])},"
-            f"{_sig12_str(payload['bound_cover'])},{cell}"
-        )
+        value = kirkland_bound(k, l, dm1)
+        record["kirkland"] = {"k": k, "l": l, "dm1": dm1, "value": value}
+    # built before the writer starts, so an infeasible (n, beta) prints nothing
+    _print_records(args.output, tuple(record), [record])
     return 0
 
 

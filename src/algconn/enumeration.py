@@ -60,29 +60,20 @@ def _beta_of(g: Graph) -> int:
 class GraphStream:
     """A replayable, deterministic stream over one unlabeled graph class.
 
-    ``kind`` selects trees or connected graphs of order ``n``; an optional
-    filter restricts to a fixed matching number or edge cover number.
+    ``kind`` selects trees or connected graphs of order ``n``; ``beta``, when
+    set, keeps the graphs with that matching number (an edge cover filter γ
+    is stored as β = n − γ, by Gallai's identity).
     """
 
     n: int
     kind: str
-    matching_filter: int | None = None
-    cover_filter: int | None = None
+    beta: int | None = None
 
     def __iter__(self) -> Iterator[Graph]:
         base = _tree_list(self.n) if self.kind == KIND_TREES else _connected_list(self.n)
-        want_beta: int | None = self.matching_filter
-        if self.cover_filter is not None:
-            want_beta = self.n - self.cover_filter
         for g in base:
-            if want_beta is not None:
-                if self.cover_filter is not None and any(
-                    not g.adjacency[v] for v in range(g.n)
-                ):
-                    continue  # no edge cover exists
-                if _beta_of(g) != want_beta:
-                    continue
-            yield g
+            if self.beta is None or _beta_of(g) == self.beta:
+                yield g
 
 
 def all_trees(n: int) -> GraphStream:
@@ -122,28 +113,30 @@ def with_matching(stream: GraphStream, beta: int) -> GraphStream:
     graph of that order can have the requested value: ``1..n // 2``, or only
     0 for the edgeless K₁.
     """
-    if beta < min(1, stream.n - 1) or beta > stream.n // 2:
-        warnings.warn(
-            f"no connected graph of order {stream.n} has matching number {beta}",
-            EmptyClassWarning,
-            stacklevel=2,
-        )
-    return replace(stream, matching_filter=beta, cover_filter=None)
+    return _with_beta(stream, beta, min(1, stream.n - 1), f"matching number {beta}")
 
 
 def with_cover(stream: GraphStream, gamma: int) -> GraphStream:
     """Restrict a stream to graphs with the given edge cover number.
 
     Emits :class:`EmptyClassWarning` (and streams nothing) when the value is
-    infeasible for connected graphs of that order.
+    infeasible for connected graphs of that order: ``(n + 1) // 2..n - 1``,
+    so never for the edgeless K₁.
     """
-    if gamma < (stream.n + 1) // 2 or gamma > stream.n - 1:
+    return _with_beta(stream, stream.n - gamma, 1, f"edge cover number {gamma}")
+
+
+def _with_beta(stream: GraphStream, beta: int, least: int, what: str) -> GraphStream:
+    """``stream`` filtered to matching number ``beta``; outside
+    ``least..n // 2`` it warns and filters to -1, which no graph has."""
+    if beta < least or beta > stream.n // 2:
         warnings.warn(
-            f"no connected graph of order {stream.n} has edge cover number {gamma}",
+            f"no connected graph of order {stream.n} has {what}",
             EmptyClassWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return replace(stream, cover_filter=gamma, matching_filter=None)
+        beta = -1
+    return replace(stream, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -273,37 +273,6 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class InvariantSummary:
-    """One-stop numeric profile of a graph.
-
-    ``alpha`` is present only for ``n >= 2``; ``gamma`` only when no vertex
-    is isolated; ``diameter`` only when the graph is connected.  For a
-    connected graph with ``n >= 2`` the Gallai identity ``beta + gamma = n``
-    holds by construction.
-    """
-
-    n: int
-    m: int
-    connected: bool
-    alpha: float | None
-    beta: int
-    gamma: int | None
-    diameter: int | None
-
-    def as_dict(self) -> dict:
-        """Field dict with the absent (``None``) entries dropped."""
-        out: dict = {"n": self.n, "m": self.m, "connected": self.connected}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        out["beta"] = self.beta
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.diameter is not None:
-            out["diameter"] = self.diameter
-        return out
-
-
 # ---------------------------------------------------------------------------
 # canonical forms
 # ---------------------------------------------------------------------------

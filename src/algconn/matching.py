@@ -130,9 +130,7 @@ def maximum_matching(g: Graph) -> Matching:
 
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching."""
-    if is_tree(g):
-        return _tree_matching(g)[0]
-    return _bitmask_matching(g)[0]
+    return maximum_matching(g).size
 
 
 def edge_cover_number(g: Graph) -> int:

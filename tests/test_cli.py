@@ -9,7 +9,9 @@ import pytest
 
 from algconn import (
     VerificationReport,
+    all_trees,
     balanced_broom,
+    encode_graph6,
     extremal_tree,
     format_edge_list,
     is_isomorphic,
@@ -180,6 +182,26 @@ def test_classify_dot_output(capsys, tmp_path):
     assert out.startswith("graph G {")
     assert "doublecircle" in out
     assert "--" in out
+
+
+def test_classify_dot_solves_each_tree_once(capsys, monkeypatch):
+    from algconn import spectral
+
+    calls = []
+    solve = spectral.eigen_symmetric
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return solve(matrix)
+
+    monkeypatch.setattr(spectral, "eigen_symmetric", counted)
+    trees = list(all_trees(6))
+    stdin = "".join(encode_graph6(t) + "\n" for t in trees)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, _ = run(capsys, "classify", "-", "--output", "dot")
+    assert code == 0
+    assert out.count("graph G {") == len(trees) == 6
+    assert calls == [6] * len(trees)
 
 
 def test_classify_non_tree_fails(capsys, k3_file):

@@ -224,6 +224,14 @@ def test_empty_class_warns():
     assert list(stream) == []
 
 
+def test_order_one_has_no_edge_cover():
+    for stream in (all_trees(1), all_connected_graphs(1)):
+        for gamma in (0, 1):
+            with pytest.warns(EmptyClassWarning):
+                covered = with_cover(stream, gamma)
+            assert list(covered) == []
+
+
 def test_order_one_has_matching_number_zero(recwarn):
     assert [encode_graph6(g) for g in with_matching(all_trees(1), 0)] == ["@"]
     assert [encode_graph6(g) for g in with_matching(all_connected_graphs(1), 0)] == ["@"]

@@ -181,6 +181,8 @@ CLI_INPUTS = {
     "order0": lambda: "?\n",
     "order1": lambda: "@\n",
     "order2": lambda: "A?\n",
+    # 2K2 (disconnected: gamma but no diameter), K2 + K1 (isolated: no gamma)
+    "disconnected": lambda: "C`\nB_\n",
     "edgelist": lambda: "7 6\n0 1\n1 2\n2 3\n1 4\n4 5\n4 6\n",
     "padding": lambda: "B~\n",
     "illegal": lambda: "Bw#\n",
@@ -257,6 +259,7 @@ CLI_RUNS = (
         (["enumerate", "trees", "--n", "5", "--beta", "2", "--gamma", "3"], "empty"),
         (["verify", "nosuch"], "empty"),
     ]
+    + [(["invariants", "--output", out], "disconnected") for out in ("json", "csv")]
 )
 
 
