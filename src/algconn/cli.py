@@ -2,22 +2,23 @@
 
 Subcommands: ``alpha``, ``invariants``, ``construct``, ``classify``,
 ``enumerate``, ``verify``, ``bounds``.  Graph input comes from a positional
-path, ``-i PATH``, or standard input (``-`` or no argument), in graph6
-(default, one graph per line) or edge-list text.  Structured output goes to
-stdout; diagnostics to stderr.
+path, or from standard input (``-`` or no argument), in graph6 (default,
+one graph per line, any order) or edge-list text.  Structured output goes
+to stdout; diagnostics to stderr.
 
 Exit codes: 0 on success, 1 when a verification target reports failure,
 2 on usage errors, unreadable input, or infeasible parameters.
 
-``alpha``, ``invariants`` and ``bounds`` only build one dict per record;
-one writer, :func:`_print_records`, owns their float rounding (12
-significant digits) and their JSON and CSV layout.  Identical argv (seeds
-included) produces byte-identical output.
+Subcommands only build one dict (or list) per record; one writer,
+:func:`_print_records`, writes every JSON and CSV line, with the float
+rounding (12 significant digits) and the CSV quoting of :mod:`csv`.
+Identical argv (seeds included) produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -46,7 +47,7 @@ from .spectral import (
 )
 from .verification import (
     TARGETS,
-    _sig12,
+    _rounded,
     _sig12_str,
     bound_cover,
     bound_matching,
@@ -68,16 +69,8 @@ def _add_input_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "source",
         nargs="?",
-        default=None,
-        help="input path, or '-' for stdin (default: stdin)",
-    )
-    p.add_argument(
-        "-i",
-        "--input",
-        dest="input_opt",
-        default=None,
-        metavar="PATH",
-        help="alternative way to pass the input path",
+        default="-",
+        help="input path, or '-' for stdin (the default)",
     )
     p.add_argument(
         "--format",
@@ -88,17 +81,12 @@ def _add_input_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _read_source(args: argparse.Namespace) -> str:
-    if args.source is not None and args.input_opt is not None:
-        raise _CliError("give the input either positionally or via -i, not both")
-    source = args.input_opt if args.input_opt is not None else args.source
-    if source is None:
-        source = "-"
-    if source == "-":
+    if args.source == "-":
         return sys.stdin.read()
     try:
-        return Path(source).read_text()
+        return Path(args.source).read_text()
     except OSError as exc:
-        raise _CliError(f"cannot read {source}: {exc}") from None
+        raise _CliError(f"cannot read {args.source}: {exc}") from None
 
 
 def _load_graphs(args: argparse.Namespace) -> list[Graph]:
@@ -116,18 +104,6 @@ def _load_graphs(args: argparse.Namespace) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
-def _rounded(value):
-    """``value`` with every float, in lists and dicts too, rounded by
-    :func:`_sig12`."""
-    if isinstance(value, float):
-        return _sig12(value)
-    if isinstance(value, list):
-        return [_rounded(x) for x in value]
-    if isinstance(value, dict):
-        return {k: _rounded(x) for k, x in value.items()}
-    return value
-
-
 def _csv_cell(value) -> str:
     """``None`` is empty, a float has 12 significant digits, a list is joined
     by ``;`` and a nested record shows its ``value``."""
@@ -142,17 +118,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _print_records(output: str, columns: tuple[str, ...], records: Iterable) -> None:
+def _print_records(
+    output: str, columns: tuple[str, ...], records: Iterable, csv_row=dict
+) -> None:
     """One JSON line per record, or a CSV header of ``columns`` and one row
-    per record (a missing key is an empty cell).  ``records`` is consumed
-    lazily, so the lines before a failing record are still written."""
+    per record, read from ``csv_row(record)`` (a missing key is an empty
+    cell).  ``records`` is consumed lazily, so the lines before a failing
+    record are still written."""
     if output == "csv":
-        print(",".join(columns))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
     for record in records:
         if output == "json":
             print(json.dumps(_rounded(record)))
         else:
-            print(",".join(_csv_cell(record.get(c)) for c in columns))
+            row = csv_row(record)
+            writer.writerow([_csv_cell(row.get(c)) for c in columns])
 
 
 def _graph_to_dot(g: Graph, data: FiedlerData, cls: FiedlerClass) -> str:
@@ -225,33 +206,33 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.output == "graph6":
         print(encode_graph6(g))
     elif args.output == "json":
-        print(json.dumps({"graph6": encode_graph6(g), "n": g.n, "m": g.m}))
+        _print_records("json", (), [{"graph6": encode_graph6(g), "n": g.n, "m": g.m}])
     else:
         data = fiedler_vector(g)
         sys.stdout.write(_graph_to_dot(g, data, classify_fiedler(g, data)))
     return 0
 
 
+def _classification(g: Graph) -> dict:
+    """A tree's Fiedler type with its characteristic vertex or edge."""
+    cls = classify_fiedler(g, fiedler_vector(g))
+    if cls.kind == "I":
+        return {
+            "kind": "I",
+            "characteristic_vertex": cls.characteristic_vertex,
+            "zero_set": sorted(cls.zero_set),
+        }
+    return {"kind": "II", "characteristic_edge": list(cls.characteristic_edge)}
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     graphs = _load_graphs(args)
+    if args.output == "json":
+        _print_records("json", (), map(_classification, graphs))
+        return 0
     for g in graphs:
         data = fiedler_vector(g)
-        cls = classify_fiedler(g, data)
-        if args.output == "json":
-            if cls.kind == "I":
-                payload = {
-                    "kind": "I",
-                    "characteristic_vertex": cls.characteristic_vertex,
-                    "zero_set": sorted(cls.zero_set),
-                }
-            else:
-                payload = {
-                    "kind": "II",
-                    "characteristic_edge": list(cls.characteristic_edge),
-                }
-            print(json.dumps(payload))
-        else:
-            sys.stdout.write(_graph_to_dot(g, data, cls))
+        sys.stdout.write(_graph_to_dot(g, data, classify_fiedler(g, data)))
     return 0
 
 
@@ -272,11 +253,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for g in stream:
             print(encode_graph6(g))
     else:
-        print(json.dumps([encode_graph6(g) for g in stream]))
+        _print_records("json", (), [[encode_graph6(g) for g in stream]])
     return 0
 
 
 _VERIFY_PARAM_FLAGS = ("n", "seed", "count", "d", "n_min", "n_max")
+
+
+def _report_csv_row(record: dict) -> dict:
+    """A report's CSV row: ``params`` as compact JSON, witnesses as graph6."""
+    return {
+        **record,
+        "params": json.dumps(record["params"], separators=(",", ":")),
+        "witnesses": [w["graph6"] for w in record["witnesses"]],
+    }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -286,10 +276,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if getattr(args, name) is not None
     }
     report = verify(args.target, **params)
-    if args.output == "json":
-        print(report.to_json())
-    else:
-        sys.stdout.write(report.to_csv())
+    record = report.to_json_dict()
+    _print_records(args.output, tuple(record), [record], _report_csv_row)
     return 0 if report.passed else 1
 
 

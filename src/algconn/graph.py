@@ -37,7 +37,7 @@ from .errors import (
 #: sparse graphs, to 378 000 on random order-16 graphs with 24 edges.
 CANONICAL_CEILING = 10
 
-#: Short-form graph6 covers orders up to 62.
+#: The largest order graph6 writes in one byte; larger orders take the long form.
 GRAPH6_MAX_ORDER = 62
 
 
@@ -176,51 +176,67 @@ def diameter(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# graph6 (short form)
+# graph6
 # ---------------------------------------------------------------------------
 
 
+#: graph6 writes each 6-bit group as the byte ``group + 63``.
+_GROUP_BITS = {v + 63: f"{v:06b}" for v in range(64)}
+_GROUP_BYTE = {bits: chr(b) for b, bits in _GROUP_BITS.items()}
+
+
+def _groups(value: int, count: int) -> str:
+    """``value`` as ``count`` graph6 bytes, most significant group first."""
+    bits = format(value | 1 << 6 * count, "b")[1:]  # the leading 1 keeps the zeros
+    return "".join(_GROUP_BYTE[bits[i : i + 6]] for i in range(0, len(bits), 6))
+
+
+def _from_groups(chars: str) -> int:
+    """The integer that :func:`_groups` wrote as ``chars``."""
+    return int("0" + chars.translate(_GROUP_BITS), 2)
+
+
+def _order_field(n: int) -> str:
+    """graph6's order: one byte up to 62, ``~`` and 3 bytes up to 258 047
+    (whose first byte is never ``~``), ``~~`` and 6 bytes above that."""
+    if n <= GRAPH6_MAX_ORDER:
+        return _groups(n, 1)
+    if n <= 258_047:
+        return "~" + _groups(n, 3)
+    return "~~" + _groups(n, 6)
+
+
 def encode_graph6(g: Graph) -> str:
-    """Encode in short-form graph6 (orders up to 62): the order, then the
-    packed code with zero padding to whole 6-bit groups, each plus 63."""
-    if g.n > GRAPH6_MAX_ORDER:
-        raise TooLarge(f"short-form graph6 only covers orders up to {GRAPH6_MAX_ORDER}")
+    """Encode in graph6: the order field, then the packed code with zero
+    padding to whole 6-bit groups."""
     pair_count = g.n * (g.n - 1) // 2
     pad = -pair_count % 6
-    code = _pack_code(g) << pad
-    shifts = range(pair_count + pad - 6, -1, -6)
-    return chr(g.n + 63) + "".join(chr((code >> s & 63) + 63) for s in shifts)
+    return _order_field(g.n) + _groups(_pack_code(g) << pad, (pair_count + pad) // 6)
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a short-form graph6 string (leading/trailing whitespace ignored).
+    """Decode a graph6 string (leading/trailing whitespace ignored).
 
     Raises:
-        ParseError: on empty input, illegal bytes, a long-form marker, a
-            length that does not match the declared order, or nonzero bits
-            in the padding after the last vertex pair.
+        ParseError: on empty input, illegal bytes, a truncated or non-minimal
+            order field, a length that does not match the declared order
+            (checked before the payload is decoded), or nonzero bits in the
+            padding after the last vertex pair.
     """
     s = text.strip()
     if not s:
         raise ParseError("empty graph6 string")
-    values = []
     for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
+        if not "?" <= ch <= "~":
             raise ParseError(f"illegal graph6 byte {ord(ch)!r}")
-        values.append(v)
-    n = values[0]
-    if n == 63:
-        raise ParseError("long-form graph6 is not supported")
+    start, head = (0, 1) if s[0] != "~" else (1, 4) if s[1:2] != "~" else (2, 8)
+    n = _from_groups(s[start:head])
+    if s[:head] != _order_field(n):
+        raise ParseError(f"malformed graph6 order field {s[:head]!r}")
     pair_count = n * (n - 1) // 2
-    expected = 1 + (pair_count + 5) // 6
-    if len(values) != expected:
-        raise ParseError(
-            f"graph6 string of length {len(values)} does not match order {n}"
-        )
-    code = 0
-    for v in values[1:]:
-        code = code << 6 | v
+    if len(s) != head + (pair_count + 5) // 6:
+        raise ParseError(f"graph6 string of length {len(s)} does not match order {n}")
+    code = _from_groups(s[head:])
     pad = -pair_count % 6
     if code & ((1 << pad) - 1):
         raise ParseError("graph6 string has nonzero padding bits")

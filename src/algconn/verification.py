@@ -24,14 +24,12 @@ gap tolerance at these graph orders, so margins are trustworthy.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import inspect
-import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -157,6 +155,18 @@ def _sig12(x: float) -> float:
     return float(_sig12_str(x))
 
 
+def _rounded(value):
+    """``value`` with every float, in lists, tuples and dicts too, rounded by
+    :func:`_sig12`; a tuple becomes a list."""
+    if isinstance(value, float):
+        return _sig12(value)
+    if isinstance(value, (list, tuple)):
+        return [_rounded(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _rounded(x) for k, x in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class WitnessRecord:
     """One graph appearing in a report: its graph6 code, α, and β."""
@@ -186,45 +196,11 @@ class VerificationReport:
     witnesses: tuple[WitnessRecord, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "params": self.params,
-            "passed": self.passed,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "min_gap": None if self.min_gap is None else _sig12(self.min_gap),
-            "witnesses": [
-                {
-                    "graph6": w.graph6,
-                    "alpha": None if w.alpha is None else _sig12(w.alpha),
-                    "beta": w.beta,
-                }
-                for w in self.witnesses
-            ],
-        }
+        """The fields as plain data, every float rounded by :func:`_sig12`."""
+        return _rounded(asdict(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        """Header plus one summary row."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["target", "params", "passed", "checked", "skipped", "min_gap", "witnesses"]
-        )
-        writer.writerow(
-            [
-                self.target,
-                json.dumps(self.params, separators=(",", ":")),
-                self.passed,
-                self.checked,
-                self.skipped,
-                "" if self.min_gap is None else _sig12_str(self.min_gap),
-                ";".join(w.graph6 for w in self.witnesses),
-            ]
-        )
-        return buf.getvalue()
 
 
 @lru_cache(maxsize=None)

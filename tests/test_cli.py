@@ -321,6 +321,13 @@ def test_verify_unknown_target_is_usage_error(capsys):
     assert code == 2
 
 
+def test_verify_infeasible_parameters_are_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "thm31", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no tree class below order 2\n"
+
+
 def test_verify_seed_passthrough(capsys):
     code, out, _ = run(
         capsys, "verify", "lem22", "--seed", "5", "--count", "10"
@@ -351,12 +358,6 @@ def test_bounds_kirkland_absent_for_stars(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "5", "--beta", "1")
     assert code == 0
     assert json.loads(out)["kirkland"] is None
-
-
-def test_both_input_forms_rejected(capsys, k3_file):
-    code, _, err = run(capsys, "alpha", k3_file, "-i", k3_file)
-    assert code == 2
-    assert "not both" in err
 
 
 def test_repeated_edge_is_usage_error(capsys, tmp_path):
@@ -392,13 +393,16 @@ def test_order_above_dense_ceiling_is_usage_error(capsys, tmp_path):
     from algconn.spectral import DENSE_CEILING
 
     n = DENSE_CEILING + 1
-    path = tmp_path / "long_path.txt"
-    path.write_text(format_edge_list(path_graph(n)))
+    edgelist = tmp_path / "long_path.txt"
+    edgelist.write_text(format_edge_list(path_graph(n)))
+    graph6 = tmp_path / "long_path.g6"  # long form: "~" and three order bytes
+    graph6.write_text(encode_graph6(path_graph(n)) + "\n")
     for sub in ("alpha", "invariants", "classify"):
-        code, out, err = run(capsys, sub, str(path), "--format", "edgelist")
-        assert code == 2
-        assert out == ""
-        assert "dense" in err
+        for path, fmt in ((edgelist, "edgelist"), (graph6, "graph6")):
+            code, out, err = run(capsys, sub, str(path), "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert "dense" in err
 
 
 def test_empty_input_is_usage_error(capsys, monkeypatch):

@@ -41,6 +41,8 @@ def test_path_star_cycle_complete_shapes():
         star_graph(-1)
     with pytest.raises(TooSmall):
         cycle_graph(2)
+    with pytest.raises(TooSmall):
+        complete_graph(0)
 
 
 def test_double_broom_layout():
@@ -149,6 +151,12 @@ def test_relocate_branch_rejects_bad_input():
         relocate_branch(host, 1, 1, branch, 0)
     with pytest.raises(InvalidVertex):
         relocate_branch(host, 0, 9, branch, 0)
+    with pytest.raises(InvalidVertex):
+        relocate_branch(host, -1, 1, branch, 0)
+    with pytest.raises(InvalidVertex):
+        coalescence(host, 4, branch, 0)
+    with pytest.raises(InvalidVertex):
+        coalescence(host, 0, branch, 2)
     with pytest.raises(TrivialBranch):
         relocate_branch(host, 0, 1, path_graph(1), 0)
     with pytest.raises(NotConnected):

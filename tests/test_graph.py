@@ -13,6 +13,7 @@ from algconn import (
     ParseError,
     SelfLoop,
     TooLarge,
+    TooSmall,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -72,6 +73,8 @@ def test_graph_rejects_self_loops_and_bad_vertices():
         from_edge_list(3, [(-1, 0)])
     with pytest.raises(InvalidVertex):
         Graph(-1, frozenset())
+    with pytest.raises(InvalidVertex):
+        path_graph(3).neighbors(3)
     assert Graph(0, frozenset()).m == 0  # the empty graph is allowed
 
 
@@ -114,6 +117,8 @@ def test_diameter(zoo):
 
     with pytest.raises(NotConnected):
         diameter(zoo["two_edges"])
+    with pytest.raises(TooSmall):
+        diameter(Graph(0))
 
 
 def test_graph6_known_strings():
@@ -142,9 +147,25 @@ def test_graph6_rejects_bad_input():
     with pytest.raises(ParseError):
         parse_graph6("B")  # too few
     with pytest.raises(ParseError):
-        parse_graph6("~?@?")  # long-form marker
-    with pytest.raises(TooLarge):
-        encode_graph6(Graph(63, frozenset()))
+        parse_graph6("~?@?")  # order 64, no payload
+    for field in ("~", "~?", "~~???", "~??B"):  # truncated, or 3 in long form
+        with pytest.raises(ParseError, match="order field"):
+            parse_graph6(field)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 100])
+def test_graph6_long_form_matches_networkx(n):
+    """Above order 62 the order is ``~`` and three 6-bit groups; every order
+    round-trips and matches networkx's encoder byte for byte."""
+    nx = pytest.importorskip("networkx")
+    g = random_graph(n, 0.3, random.Random(n))
+    text = encode_graph6(g)
+    assert text.startswith("~") == (n > GRAPH6_MAX_ORDER)
+    assert parse_graph6(text) == g
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(g.edges)
+    assert text == nx.to_graph6_bytes(reference, header=False).decode().strip()
 
 
 def test_graph6_rejects_nonzero_padding():
@@ -179,10 +200,11 @@ def test_graph6_bytes_are_pinned():
 
 
 def test_graph6_rejects_every_padding_bit():
-    """Each order with padding, each padding bit set alone.  The pair count
-    n(n-1)/2 is 0, 1, 3 or 4 mod 6, so the padding is 0, 5, 3 or 2 bits."""
+    """Each order with padding, each padding bit set alone, in the short
+    form and the long form (63 on).  The pair count n(n-1)/2 is 0, 1, 3 or 4
+    mod 6, so the padding is 0, 5, 3 or 2 bits."""
     widths = set()
-    for n in range(2, 63):
+    for n in range(2, 71):
         pad = -(n * (n - 1) // 2) % 6
         widths.add(pad)
         text = encode_graph6(complete_graph(n))
@@ -205,6 +227,8 @@ def test_edge_list_rejects_malformed():
         parse_edge_list("")
     with pytest.raises(ParseError):
         parse_edge_list("3\n0 1\n")
+    with pytest.raises(ParseError, match="non-integer header"):
+        parse_edge_list("3 x\n0 1\n")
     with pytest.raises(ParseError):
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ParseError):
@@ -293,6 +317,7 @@ def test_canonical_form_is_hashable_identity():
     f = canonical_form(path_graph(4))
     assert isinstance(f, CanonicalForm)
     assert hash(f) == hash(canonical_form(relabel(path_graph(4), [3, 2, 1, 0])))
+    assert canonical_form(Graph(0)) == CanonicalForm(0, "")  # no pairs to order
 
 
 def test_brute_code_consistency():

@@ -24,6 +24,7 @@ from algconn import (
     verify,
 )
 from algconn import enumeration, matching, verification
+from algconn.cli import main
 from algconn.families import branch_vertex_map, coalescence, relocate_branch
 from algconn.graph import is_connected
 from algconn.spectral import eigen_symmetric, laplacian
@@ -127,13 +128,24 @@ def test_report_floats_use_twelve_significant_digits():
     assert data["witnesses"][0]["alpha"] == 1.0
 
 
-def test_report_csv_shape():
-    report = verify("thm31", n=4)
-    lines = report.to_csv().strip().splitlines()
+def test_report_csv_shape(capsys):
+    assert main(["verify", "thm31", "--n", "4", "--output", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "target,params,passed,checked,skipped,min_gap,witnesses"
     assert len(lines) == 2
     assert lines[1].startswith("thm31,")
     assert "CF" in lines[1]
+
+
+def test_failing_report_above_order_62(monkeypatch, capsys):
+    """A failed verdict on order-63 brooms is a report with long-form graph6
+    witnesses, and the CLI exits 1 with it rather than 2."""
+    monkeypatch.setattr(verification, "GAP_TOL", 10.0)
+    report = verify("lem25", n_min=63, n_max=63)
+    assert report.passed is False
+    assert {parse_graph6(w.graph6).n for w in report.witnesses} == {63}
+    assert main(["verify", "lem25", "--n-min", "63", "--n-max", "63"]) == 1
+    assert json.loads(capsys.readouterr().out) == report.to_json_dict()
 
 
 def test_reports_are_reproducible():
@@ -152,6 +164,27 @@ def test_verify_rejects_unknown_targets_and_parameters():
         verify("thm31", bogus=1)
     with pytest.raises(Infeasible):
         verify("lem22", count=0)
+    # each runner's order and grid checks, before any enumeration starts
+    for target, params, error in [
+        ("thm31", {"n": 1}, TooSmall),
+        ("thm32", {"n": 1}, TooSmall),
+        ("cor33", {"n": 1}, TooSmall),
+        ("lem23", {"n": 2}, TooSmall),
+        ("lem25", {"n_min": 1}, TooSmall),
+        ("lem25", {"n_min": 8, "n_max": 7}, Infeasible),
+        ("chain33", {"n_min": 1}, TooSmall),
+        ("chain33", {"n_min": 8, "n_max": 7}, Infeasible),
+        ("bound35", {"n": 1}, TooSmall),
+        ("bound36", {"n": 1}, TooSmall),
+        ("lem34", {"k_min": 0}, Infeasible),
+        ("lem34", {"dm1_min": 4, "dm1_max": 3}, Infeasible),
+        ("lem26", {"n": 0}, TooSmall),
+        ("cor27", {"n": 0}, TooSmall),
+        ("gallai", {"n": 1}, TooSmall),
+        ("fiedler21", {"n": 1}, TooSmall),
+    ]:
+        with pytest.raises(error):
+            verify(target, **params)
     assert set(TARGETS) >= {
         "thm31",
         "thm32",
